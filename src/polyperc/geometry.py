@@ -9,7 +9,9 @@ coerced on construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,18 +21,74 @@ from .errors import ConstantFormError, DimensionError, ParseError
 Rational = Fraction
 Point = tuple[Fraction, ...]
 
+# A rational may be written with at most this many digits, counting the
+# magnitude of a decimal exponent as digits too (``1e5000`` counts 5001).
+MAX_DIGITS = 100_000
+
+# the forms ``Fraction`` reads, minus underscores
+_LONG_RATIONAL = re.compile(
+    r"\s*(?:(?P<decimal>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<num>[+-]?\d+)/(?P<den>\d+))\s*",
+    re.ASCII,
+)
+
+
+def _digit_count(text: str) -> int:
+    """Digits written, plus the magnitude of any decimal exponent."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    count = sum(ch.isdigit() for ch in mantissa)
+    if exponent.isdecimal():
+        # an exponent too long to read is past the limit anyway
+        count += int(exponent) if len(exponent) < 10 else MAX_DIGITS + 1
+    return count
+
+
+def _long_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for digit runs past the interpreter's int-string
+    digit limit, which ``Fraction`` reads through ``int(str)``; ``Decimal``
+    converts a digit run of any length exactly."""
+    match = _LONG_RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid literal for Fraction: {text!r}")
+    if match["decimal"] is not None:
+        return Fraction(Decimal(match["decimal"]))
+    return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer (``7``), a fraction (``-3/2``) or a decimal (``0.25``)."""
+    """Parse an integer (``7``), a fraction (``-3/2``) or a decimal (``0.25``).
+
+    Any value written with at most :data:`MAX_DIGITS` digits is read
+    exactly, however long its digit runs.
+    """
+    if (len(text) > MAX_DIGITS or "e" in text or "E" in text) and _digit_count(
+        text
+    ) > MAX_DIGITS:
+        raise ParseError(f"rational with more than {MAX_DIGITS} digits")
     try:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:
+            return _long_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
+def _int_text(n: int) -> str:
+    # Decimal prints an int of any length, past the int-string digit limit
+    return str(Decimal(n))
+
+
 def format_rational(value: Fraction) -> str:
     """Render as ``p/q``, or a bare integer when the denominator is 1."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        text = _int_text(value.numerator)
+        if value.denominator == 1:
+            return text
+        return f"{text}/{_int_text(value.denominator)}"
 
 
 def parse_point(line: str, lineno: int | None = None) -> Point:

@@ -1,19 +1,18 @@
 """Backend selection and integer lowering for the enumeration kernels.
 
-Forms are scaled by the positive lcm of their coefficient denominators,
-which preserves unit semantics exactly, so the kernels only ever see
-integers.  The compiled backend is used when importable and when every
-intermediate sum provably fits in int64; otherwise the pure-python
-backend (exact at any size) takes over.
+Each layer's forms are scaled by the positive lcm of their coefficient
+denominators (``PerceptronLayer.lowered``), which preserves unit
+semantics exactly, so the kernels only ever see integers.  The compiled
+backend is used when importable and when every intermediate sum provably
+fits in int64; otherwise the pure-python backend (exact at any size)
+takes over.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .geometry import InequalityKind
 from .network import PerceptronLayer
 
 try:
@@ -35,19 +34,10 @@ IntLayer = tuple[list[int], list[list[int]], list[bool]]
 
 
 def lower_layer(layer: PerceptronLayer) -> IntLayer:
-    """Clear denominators per unit; the positive scale keeps every sign."""
-    biases = []
-    weights = []
-    lax = []
-    for unit in layer.units:
-        form = unit.form
-        scale = math.lcm(
-            form.bias.denominator, *(w.denominator for w in form.weights)
-        )
-        biases.append(int(form.bias * scale))
-        weights.append([int(w * scale) for w in form.weights])
-        lax.append(unit.kind is InequalityKind.LAX)
-    return biases, weights, lax
+    """The layer's own integer lowering (see ``PerceptronLayer.lowered``),
+    as fresh lists; the positive per-unit scale keeps every sign."""
+    biases, weights, lax = layer.lowered
+    return list(biases), [list(row) for row in weights], list(lax)
 
 
 def _fits_int64(layers: Sequence[IntLayer]) -> bool:

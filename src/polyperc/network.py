@@ -1,26 +1,42 @@
-"""Threshold layers and networks with an exact rational forward pass.
+"""Threshold layers and networks with an exact integer forward pass.
 
 A layer is a tuple of half-spaces sharing an input dimension; applying it
 yields one bit per unit.  A network is a composable sequence of layers.
-Intermediate bit vectors are re-embedded as rational points, so every
-layer remains a standalone map on rational space.
+Each layer is lowered once to integers: every unit's form is scaled by
+the positive lcm of its coefficient denominators, which keeps every sign.
+The first layer then evaluates a rational point over a common
+denominator, and later layers sum integer weights over the set bits of
+the previous layer's output, so a forward pass does no rational
+arithmetic and gives the same bits as :meth:`HalfSpace.contains`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Iterable
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError
-from .geometry import HalfSpace, Point, format_halfspace, parse_halfspace
+from .geometry import (
+    HalfSpace,
+    InequalityKind,
+    Point,
+    format_halfspace,
+    parse_halfspace,
+)
 
 BitVector = tuple[int, ...]
 
+# per unit: the scaled bias, the scaled weights and whether the unit is lax
+IntLayer = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]
 
-def bits_to_point(bits: Sequence[int]) -> Point:
-    return tuple(Fraction(b) for b in bits)
+
+def bits_of_index(g: int, n_bits: int) -> BitVector:
+    """Bit vector encoded by g: bit i-1 of g is vector entry i."""
+    return tuple((g >> i) & 1 for i in range(n_bits))
 
 
 @dataclass(frozen=True)
@@ -42,8 +58,55 @@ class PerceptronLayer:
     def output_dim(self) -> int:
         return len(self.units)
 
+    @cached_property
+    def lowered(self) -> IntLayer:
+        """Every unit's form times the positive lcm of its denominators."""
+        biases = []
+        weights = []
+        for unit in self.units:
+            form = unit.form
+            scale = math.lcm(
+                form.bias.denominator, *(w.denominator for w in form.weights)
+            )
+            biases.append(form.bias.numerator * (scale // form.bias.denominator))
+            weights.append(
+                tuple(w.numerator * (scale // w.denominator) for w in form.weights)
+            )
+        lax = tuple(u.kind is InequalityKind.LAX for u in self.units)
+        return tuple(biases), tuple(weights), lax
+
+    def point_mask(self, x: Point) -> int:
+        """Firing units on a rational point as an int mask (bit u-1 is unit u).
+
+        The point is brought to a common denominator D > 0, so a unit fires
+        iff ``bias*D + sum(w_i * D*x_i)`` is > 0, or >= 0 when it is lax.
+        A lax flag counts as 1, which turns ``>= 0`` into ``> 0`` on integers.
+        """
+        biases, weights, lax = self.lowered
+        if len(x) != len(weights[0]):
+            raise DimensionError(
+                f"point has {len(x)} coordinates, form expects {len(weights[0])}"
+            )
+        denom = math.lcm(*[c.denominator for c in x])
+        coords = [c.numerator * (denom // c.denominator) for c in x]
+        mask = 0
+        for u, (bias, row, is_lax) in enumerate(zip(biases, weights, lax)):
+            if bias * denom + is_lax + sum(map(mul, row, coords)) > 0:
+                mask |= 1 << u
+        return mask
+
+    def next_mask(self, mask: int) -> int:
+        """Firing units on the bit vector encoded by mask (bit j-1 is input j)."""
+        biases, weights, lax = self.lowered
+        on = [j for j in range(len(weights[0])) if (mask >> j) & 1]
+        out = 0
+        for u, (bias, row, is_lax) in enumerate(zip(biases, weights, lax)):
+            if bias + is_lax + sum([row[j] for j in on]) > 0:
+                out |= 1 << u
+        return out
+
     def apply(self, x: Point) -> BitVector:
-        return tuple(u.contains(x) for u in self.units)
+        return bits_of_index(self.point_mask(x), self.output_dim)
 
 
 def layer_of(halfspaces: Iterable[HalfSpace]) -> PerceptronLayer:
@@ -85,16 +148,18 @@ class PerceptronNetwork:
         return self.output_dim == 1
 
     def forward(self, x: Point) -> BitVector:
-        bits = self.layers[0].apply(x)
+        mask = self.layers[0].point_mask(x)
         for layer in self.layers[1:]:
-            bits = layer.apply(bits_to_point(bits))
-        return bits
+            mask = layer.next_mask(mask)
+        return bits_of_index(mask, self.output_dim)
 
     def trace(self, x: Point) -> tuple[BitVector, ...]:
         """Bit vector after each layer, in order."""
-        out = [self.layers[0].apply(x)]
+        mask = self.layers[0].point_mask(x)
+        out = [bits_of_index(mask, self.layers[0].output_dim)]
         for layer in self.layers[1:]:
-            out.append(layer.apply(bits_to_point(out[-1])))
+            mask = layer.next_mask(mask)
+            out.append(bits_of_index(mask, layer.output_dim))
         return tuple(out)
 
 

@@ -24,6 +24,7 @@ from .indexing import (
     normalize_scheme,
     parse_scheme_lines,
 )
+from .network import PerceptronLayer
 
 
 class Mode(enum.Enum):
@@ -102,9 +103,15 @@ class PresentedPolyhedron:
     def dimension(self) -> int:
         return self.halfspaces[0].form.dimension
 
+    @cached_property
+    def _layer(self) -> PerceptronLayer:
+        """The half-spaces as one layer, so points go through its integer
+        lowering."""
+        return PerceptronLayer(self.halfspaces)
+
     def signature(self, x: Point) -> tuple[int, ...]:
         """One containment bit per half-space."""
-        return tuple(h.contains(x) for h in self.halfspaces)
+        return self._layer.apply(x)
 
     @cached_property
     def _selected_masks(self) -> tuple[tuple[int, int], ...]:
@@ -119,13 +126,7 @@ class PresentedPolyhedron:
         return tuple(masks)
 
     def member(self, x: Point) -> int:
-        return self.member_of_bits(self.signature(x))
-
-    def member_of_bits(self, bits: Sequence[int]) -> int:
-        mask = 0
-        for i, bit in enumerate(bits):
-            if bit:
-                mask |= 1 << i
+        mask = self._layer.point_mask(x)
         if self.mode is Mode.DNF:
             for m1, m0 in self._selected_masks:
                 if mask & m1 == m1 and not mask & m0:

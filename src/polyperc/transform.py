@@ -26,6 +26,7 @@ from .network import (
     BitVector,
     PerceptronLayer,
     PerceptronNetwork,
+    bits_of_index,
     layer_of,
 )
 
@@ -112,14 +113,16 @@ def build_cnf_network(
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:
-    """Full index pair of the bit vector encoded by g (bit i-1 = bit i)."""
-    ones = [i for i in range(1, n_bits + 1) if (g >> (i - 1)) & 1]
-    zeros = [i for i in range(1, n_bits + 1) if not (g >> (i - 1)) & 1]
-    return IndexPair.of(ones, zeros, n_bits)
+    """Full index pair of the bit vector encoded by g (bit i-1 = bit i).
 
-
-def bits_of_index(g: int, n_bits: int) -> BitVector:
-    return tuple((g >> i) & 1 for i in range(n_bits))
+    Both member lists come out ascending, so they go into their index
+    sets as they are, with no sort or dedup.
+    """
+    ones = []
+    zeros = []
+    for i in range(1, n_bits + 1):
+        (ones if (g >> (i - 1)) & 1 else zeros).append(i)
+    return IndexPair(IndexSet(tuple(ones), n_bits), IndexSet(tuple(zeros), n_bits))
 
 
 def _require_single_output(network: PerceptronNetwork) -> None:

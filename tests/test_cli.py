@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyperc
+from polyperc import format_network, parse_network
 from polyperc.cli import console_main
 
 try:
@@ -273,6 +274,26 @@ def test_feasible_golden(files, capsys):
     code, out, _ = run(capsys, "feasible", files("h", "0 1 >\n0 -1 >\n"))
     assert code == 1
     assert out == "INFEASIBLE\n"
+
+
+def test_feasible_prints_coefficients_past_int_str_digit_limit(files, capsys):
+    code, out, err = run(capsys, "feasible", files("h", "1e5000 1 >=\n"))
+    assert (code, err) == (0, "")
+    assert out == "FEASIBLE\nWITNESS=(-1" + "0" * 5000 + ")\n"
+
+
+def test_synth_prints_coefficients_past_int_str_digit_limit(files, capsys):
+    scheme = "N=1\nG1: ONES=1 ZEROS=-\nJ=1\n"
+    code, out, _ = run(capsys, "synth", files("h", "1e5000 1 >=\n"), files("s", scheme))
+    assert code == 0
+    assert out.splitlines()[2] == "1" + "0" * 5000 + " 1 >="
+    assert format_network(parse_network(out)) == out
+
+
+def test_digit_limit_exit_2_with_line(files, capsys):
+    code, out, err = run(capsys, "feasible", files("h", "0 1 >=\n1e100001 1 >=\n"))
+    assert (code, out) == (2, "")
+    assert "line 2" in err and "digits" in err
 
 
 def test_parse_error_reports_line_exit_2(files, capsys):

@@ -20,6 +20,7 @@ from polyperc import (
     parse_point,
     parse_rational,
 )
+from polyperc.geometry import MAX_DIGITS
 
 import randgen
 
@@ -41,6 +42,50 @@ def test_parse_rational_rejects(bad):
 @hypothesis.given(rationals)
 def test_rational_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(10**5000),
+        Fraction(-(10**5000) - 7),
+        Fraction(10**5000 + 1, 3),
+        Fraction(-7, 10**5000 + 3),
+    ],
+)
+def test_rational_round_trip_past_int_str_digit_limit(value):
+    # 5001 digits is past the interpreter's default int-string limit of 4300
+    text = format_rational(value)
+    assert len(text) > 5000
+    assert parse_rational(text) == value
+    assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_long_digit_runs():
+    assert parse_rational("1e5000") == 10**5000
+    repunit = (10**5001 - 1) // 9  # 5001 ones
+    assert parse_rational("1" * 5001 + ".5") == repunit + Fraction(1, 2)
+    assert parse_rational("-" + "1" * 5001 + "/3") == Fraction(-repunit, 3)
+    assert parse_rational("-" + "9" * MAX_DIGITS) == -(10**MAX_DIGITS - 1)
+    with pytest.raises(ParseError):
+        parse_rational("1" * 5001 + "/0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e100001",
+        "1e99_999_999",
+        "1e" + "9" * 20,
+        "1" * (MAX_DIGITS + 1),
+        "1/" + "3" * (MAX_DIGITS + 1),
+    ],
+)
+def test_parse_rational_digit_limit(text):
+    with pytest.raises(ParseError) as info:
+        parse_rational(text)
+    assert "digits" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 def test_point_round_trip():

@@ -42,12 +42,17 @@ def random_tail(rng, n_bits, depth):
     return layers
 
 
+def contains_bits(layer, x):
+    """Exact Fraction oracle: one HalfSpace.contains bit per unit."""
+    return tuple(u.contains(x) for u in layer.units)
+
+
 def brute_accepted(layers, n_bits):
     out = []
     for g in range(1 << n_bits):
         x = tuple(Fraction((g >> i) & 1) for i in range(n_bits))
         for layer in layers:
-            x = tuple(Fraction(b) for b in layer.apply(x))
+            x = tuple(Fraction(b) for b in contains_bits(layer, x))
         if x[0]:
             out.append(g)
     return out
@@ -74,7 +79,7 @@ def test_lowering_preserves_unit_outputs():
         biases, weights, lax = lower_layer(layer)
         for g in range(1 << n_bits):
             bits = tuple(Fraction((g >> i) & 1) for i in range(n_bits))
-            expect = layer.apply(bits)
+            expect = contains_bits(layer, bits)
             for u in range(len(biases)):
                 acc = biases[u] + sum(
                     w for i, w in enumerate(weights[u]) if (g >> i) & 1

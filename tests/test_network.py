@@ -1,14 +1,26 @@
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
     DimensionError,
+    HalfSpace,
+    IndexPair,
+    IndexSet,
+    InequalityKind,
+    LinearForm,
+    Mode,
     ParseError,
     PerceptronNetwork,
     PreconditionError,
+    PresentedPolyhedron,
+    Scheme,
     architecture,
+    cell_contains,
+    cocell_contains,
     format_network,
     forward,
     layer_apply,
@@ -16,7 +28,7 @@ from polyperc import (
     parse_halfspace,
     parse_network,
 )
-from polyperc.network import bits_to_point, tail_network
+from polyperc.network import tail_network
 
 import randgen
 
@@ -90,7 +102,8 @@ def test_forward_equals_nested_composition():
         cut = rng.randint(1, net.depth - 1)
         head = PerceptronNetwork(net.layers[:cut])
         tail = PerceptronNetwork(net.layers[cut:])
-        assert net.forward(x) == tail.forward(bits_to_point(head.forward(x)))
+        bits = tuple(Fraction(b) for b in head.forward(x))
+        assert net.forward(x) == tail.forward(bits)
 
 
 def test_forward_factors_through_first_layer_bits():
@@ -125,6 +138,97 @@ def test_tail_network():
         assert tail is None
     else:
         assert tail.layers == net.layers[1:]
+
+
+HUGE = 10**5000
+
+coefficients = strat.one_of(
+    strat.integers(-4, 4),
+    strat.fractions(min_value=-4, max_value=4, max_denominator=6),
+    strat.sampled_from([HUGE, -HUGE, Fraction(1, HUGE), Fraction(-3, HUGE + 1)]),
+)
+coordinates = strat.one_of(
+    strat.integers(-5, 5),
+    strat.fractions(min_value=-5, max_value=5, max_denominator=7),
+    strat.sampled_from([HUGE, Fraction(-1, HUGE)]),
+)
+
+
+@strat.composite
+def units(draw, dim, count):
+    out = []
+    for _ in range(count):
+        weights = [Fraction(draw(coefficients)) for _ in range(dim)]
+        if not any(weights):
+            weights[draw(strat.integers(0, dim - 1))] = Fraction(1)
+        kind = draw(strat.sampled_from(InequalityKind))
+        out.append(HalfSpace(LinearForm(draw(coefficients), tuple(weights)), kind))
+    return out
+
+
+@strat.composite
+def network_poly_point(draw):
+    """A network, a presentation over its first layer and a point, which
+    lies exactly on a first-layer hyperplane half of the time."""
+    dim = draw(strat.integers(1, 3))
+    widths = [dim] + [
+        draw(strat.integers(1, 4)) for _ in range(draw(strat.integers(1, 3)))
+    ]
+    layers = [
+        layer_of(draw(units(w_in, w_out))) for w_in, w_out in zip(widths, widths[1:])
+    ]
+    first = layers[0].units
+    x = [draw(coordinates) for _ in range(dim)]
+    if draw(strat.booleans()):
+        form = first[draw(strat.integers(0, len(first) - 1))].form
+        j = next(i for i, w in enumerate(form.weights) if w)
+        rest = form.bias + sum(
+            w * c for i, (w, c) in enumerate(zip(form.weights, x)) if i != j
+        )
+        x[j] = -rest / form.weights[j]
+        assert form.evaluate(x) == 0
+    n = len(first)
+    pairs = []
+    for _ in range(draw(strat.integers(0, 4))):
+        slots = draw(strat.lists(strat.integers(0, 2), min_size=n, max_size=n))
+        ones = [i + 1 for i, s in enumerate(slots) if s == 1]
+        zeros = [i + 1 for i, s in enumerate(slots) if s == 2]
+        pairs.append(IndexPair.of(ones, zeros, n))
+    chosen = draw(strat.lists(strat.integers(1, max(len(pairs), 1)), max_size=4))
+    selector = IndexSet.of([j for j in chosen if j <= len(pairs)], len(pairs))
+    scheme = Scheme(n, tuple(pairs), selector)
+    poly = PresentedPolyhedron(first, scheme, draw(strat.sampled_from(Mode)))
+    return PerceptronNetwork(tuple(layers)), poly, tuple(x)
+
+
+def contains_chain(network, x):
+    """Exact Fraction oracle: HalfSpace.contains layer by layer, with each
+    bit vector re-embedded as a Fraction point."""
+    bits = tuple(u.contains(x) for u in network.layers[0].units)
+    for layer in network.layers[1:]:
+        point = tuple(Fraction(b) for b in bits)
+        bits = tuple(u.contains(point) for u in layer.units)
+    return bits
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(network_poly_point())
+def test_integer_evaluator_matches_fraction_oracle(case):
+    net, poly, x = case
+    assert net.forward(x) == contains_chain(net, x)
+    first = PerceptronNetwork(net.layers[:1])
+    assert poly.signature(x) == contains_chain(first, x)
+    pairs = poly.scheme.selected_pairs()
+    if poly.mode is Mode.DNF:
+        expect = any(cell_contains(poly.halfspaces, p, x) for p in pairs)
+    else:
+        expect = all(cocell_contains(poly.halfspaces, p, x) for p in pairs)
+    assert poly.member(x) == int(expect)
+    for wrong in (x + (Fraction(0),), x[:-1]):
+        with pytest.raises(DimensionError):
+            net.forward(wrong)
+        with pytest.raises(DimensionError):
+            poly.member(wrong)
 
 
 def test_network_round_trip_golden():
