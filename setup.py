@@ -1,21 +1,5 @@
-"""Build hook for the optional compiled enumeration kernel.
+"""Shim for ``python setup.py develop``; the metadata is in pyproject.toml."""
 
-The package is pure Python; when Cython is available the hot
-binary-vector enumeration loop is additionally compiled.  Installs
-without Cython still work, the library then selects the pure-Python
-kernel at import time.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("polyperc._ckernels", ["src/polyperc/_ckernels.pyx"])],
-        language_level="3",
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -14,6 +14,9 @@ from .errors import SchemeError
 from .geometry import HalfSpace, InequalityKind, LinearForm
 from .indexing import IndexPair, IndexSet
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 HALF = Fraction(1, 2)
 
 BitVector = tuple[int, ...]
@@ -21,10 +24,10 @@ BitVector = tuple[int, ...]
 
 def adder(indices: IndexSet) -> LinearForm:
     """Sum of the selected coordinates; counts ones on binary vectors."""
-    weights = [Fraction(0)] * indices.ambient
+    weights = [ZERO] * indices.ambient
     for i in indices:
-        weights[i - 1] = Fraction(1)
-    return LinearForm(Fraction(0), tuple(weights))
+        weights[i - 1] = ONE
+    return LinearForm(ZERO, tuple(weights))
 
 
 def _check_unit_pair(pair: IndexPair, what: str) -> None:
@@ -38,11 +41,11 @@ def conj_form(pair: IndexPair) -> LinearForm:
     """Form that is 1/2 on binary b exactly when every ones index is 1 and
     every zeros index is 0, and at most -1/2 otherwise."""
     _check_unit_pair(pair, "conjunctive form")
-    weights = [Fraction(0)] * pair.ambient
+    weights = [ZERO] * pair.ambient
     for i in pair.ones:
-        weights[i - 1] = Fraction(1)
+        weights[i - 1] = ONE
     for i in pair.zeros:
-        weights[i - 1] = Fraction(-1)
+        weights[i - 1] = MINUS_ONE
     return LinearForm(HALF - pair.ones.size, tuple(weights))
 
 
@@ -50,11 +53,11 @@ def disj_form(pair: IndexPair) -> LinearForm:
     """Form that is -1/2 on binary b exactly when every ones index is 0 and
     every zeros index is 1, and at least 1/2 otherwise."""
     _check_unit_pair(pair, "disjunctive form")
-    weights = [Fraction(0)] * pair.ambient
+    weights = [ZERO] * pair.ambient
     for i in pair.ones:
-        weights[i - 1] = Fraction(1)
+        weights[i - 1] = ONE
     for i in pair.zeros:
-        weights[i - 1] = Fraction(-1)
+        weights[i - 1] = MINUS_ONE
     return LinearForm(pair.zeros.size - HALF, tuple(weights))
 
 

@@ -126,8 +126,14 @@ class LinearForm:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bias", Fraction(self.bias))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        # a Fraction is immutable, so one that is already exact is kept as is
+        if type(self.bias) is not Fraction:
+            object.__setattr__(self, "bias", Fraction(self.bias))
+        object.__setattr__(
+            self,
+            "weights",
+            tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights),
+        )
         if not self.weights:
             raise ValueError("a linear form needs at least one variable")
 

@@ -1,34 +1,21 @@
-"""Backend selection and integer lowering for the enumeration kernels.
+"""Integer lowering and the tail enumeration kernel.
 
 Each layer's forms are scaled by the positive lcm of their coefficient
 denominators (``PerceptronLayer.lowered``), which preserves unit
-semantics exactly, so the kernels only ever see integers.  The compiled
-backend is used when importable and when every intermediate sum provably
-fits in int64; otherwise the pure-python backend (exact at any size)
-takes over.
+semantics exactly, so the kernel only ever sees integers.  Python ints
+never overflow, so the kernel is exact at any magnitude.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .network import PerceptronLayer
 
-try:
-    from . import _ckernels
-
-    HAVE_COMPILED = True
-except ImportError:  # built without the extension
-    _ckernels = None
-    HAVE_COMPILED = False
-
-from . import _pykernels
-
-PYTHON, COMPILED = "python", "compiled"
-
-# headroom under 2^63: values are |bias| + sum |w| at worst
-_INT64_LIMIT = 1 << 62
+# There is one pure-Python kernel and no compiled extension; the name
+# stays so that callers reporting the build keep working.
+HAVE_COMPILED = False
 
 IntLayer = tuple[list[int], list[list[int]], list[bool]]
 
@@ -40,42 +27,28 @@ def lower_layer(layer: PerceptronLayer) -> IntLayer:
     return list(biases), [list(row) for row in weights], list(lax)
 
 
-def _fits_int64(layers: Sequence[IntLayer]) -> bool:
-    for biases, weights, _ in layers:
-        if len(biases) > 63:
-            return False
-        for bias, row in zip(biases, weights):
-            if abs(bias) + sum(abs(w) for w in row) >= _INT64_LIMIT:
-                return False
-    return True
-
-
-def _pick(backend: Optional[str], layers: Sequence[IntLayer], n_bits: int) -> str:
-    if backend is None:
-        ok = HAVE_COMPILED and n_bits <= 62 and _fits_int64(layers)
-        return COMPILED if ok else PYTHON
-    if backend == COMPILED:
-        if not HAVE_COMPILED:
-            raise PreconditionError("compiled kernel backend is not available")
-        if n_bits > 62:
-            raise PreconditionError("bit width exceeds the compiled kernel's range")
-        if not _fits_int64(layers):
-            raise PreconditionError("weights exceed the compiled kernel's range")
-        return COMPILED
-    if backend == PYTHON:
-        return PYTHON
-    raise PreconditionError(f"unknown kernel backend {backend!r}")
+def _doubled_sums(start: int, weights: Sequence[int]) -> list[int]:
+    """``start`` plus the sum of weights[j] over the set bits j of each
+    index, for every index in [0, 2^len(weights))."""
+    sums = [start]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def tail_accepted_set(
-    tail_layers: Sequence[PerceptronLayer],
-    n_bits: int,
-    backend: Optional[str] = None,
+    tail_layers: Sequence[PerceptronLayer], n_bits: int
 ) -> list[int]:
     """Ascending indices of the bit vectors the tail maps to 1.
 
     Bit i-1 of an index is input bit i, so index 5 over 3 bits is the
     vector (1, 0, 1).
+
+    The first tail layer is evaluated on every index at once, one unit
+    at a time: the index splits into its low and high bits, the unit's
+    partial sums over each half are built by doubling, and the unit
+    fires where the two halves add up past zero.  The later layers then
+    only see the distinct firing codes of the first.
     """
     if not tail_layers:
         raise PreconditionError("empty tail")
@@ -85,31 +58,29 @@ def tail_accepted_set(
         )
     if tail_layers[-1].output_dim != 1:
         raise PreconditionError("tail must be single-output")
-    lowered = [lower_layer(layer) for layer in tail_layers]
-    chosen = _pick(backend, lowered, n_bits)
-    module = _ckernels if chosen == COMPILED else _pykernels
-    return [int(g) for g in module.tail_accepted(n_bits, lowered)]
-
-
-def sweep_unit_tables(
-    n: int,
-    rows: Sequence[tuple[int, int, int, int, int, int]],
-    backend: Optional[str] = None,
-) -> tuple[int, int, int, int]:
-    """Dispatch the exhaustive unit truth-table sweep; rows are already
-    integer data, so only backend availability matters here."""
-    if backend is None:
-        chosen = COMPILED if HAVE_COMPILED and n <= 62 else PYTHON
-    elif backend == COMPILED:
-        if not HAVE_COMPILED:
-            raise PreconditionError("compiled kernel backend is not available")
-        if n > 62:
-            raise PreconditionError("bit width exceeds the compiled kernel's range")
-        chosen = COMPILED
-    elif backend == PYTHON:
-        chosen = PYTHON
-    else:
-        raise PreconditionError(f"unknown kernel backend {backend!r}")
-    module = _ckernels if chosen == COMPILED else _pykernels
-    checks, failures, first_row, first_b = module.sweep_unit_tables(n, list(rows))
-    return int(checks), int(failures), int(first_row), int(first_b)
+    biases, weights, lax = tail_layers[0].lowered
+    low = (n_bits + 1) // 2
+    width = 1 << low
+    codes = [0] * (1 << n_bits)
+    for u, (bias, row, is_lax) in enumerate(zip(biases, weights, lax)):
+        # a lax flag counts as 1, which turns ">= 0" into "> 0" on integers
+        vals = _doubled_sums(bias + is_lax, row[:low])
+        top = max(vals)
+        bit = 1 << u
+        for h, off in enumerate(_doubled_sums(0, row[low:])):
+            cut = -off
+            if top <= cut:
+                continue
+            start = h << low
+            stop = start + width
+            codes[start:stop] = [
+                c | bit if v > cut else c for c, v in zip(codes[start:stop], vals)
+            ]
+    accepted = set()
+    for code in set(codes):
+        mask = code
+        for layer in tail_layers[1:]:
+            mask = layer.next_mask(mask)
+        if mask & 1:
+            accepted.add(code)
+    return [g for g, code in enumerate(codes) if code in accepted]

@@ -118,11 +118,9 @@ def pair_of_bits(g: int, n_bits: int) -> IndexPair:
     Both member lists come out ascending, so they go into their index
     sets as they are, with no sort or dedup.
     """
-    ones = []
-    zeros = []
-    for i in range(1, n_bits + 1):
-        (ones if (g >> (i - 1)) & 1 else zeros).append(i)
-    return IndexPair(IndexSet(tuple(ones), n_bits), IndexSet(tuple(zeros), n_bits))
+    ones = tuple([i + 1 for i in range(n_bits) if g >> i & 1])
+    zeros = tuple([i + 1 for i in range(n_bits) if not g >> i & 1])
+    return IndexPair(IndexSet(ones, n_bits), IndexSet(zeros, n_bits))
 
 
 def _require_single_output(network: PerceptronNetwork) -> None:
@@ -132,9 +130,7 @@ def _require_single_output(network: PerceptronNetwork) -> None:
         )
 
 
-def _accepted_indices(
-    network: PerceptronNetwork, cap: int, backend: Optional[str]
-) -> list[int]:
+def _accepted_indices(network: PerceptronNetwork, cap: int) -> list[int]:
     n1 = network.layers[0].output_dim
     if n1 > cap:
         raise SizeCapError(
@@ -142,14 +138,13 @@ def _accepted_indices(
         )
     if network.depth == 1:
         return [1]
-    return tail_accepted_set(network.layers[1:], n1, backend)
+    return tail_accepted_set(network.layers[1:], n1)
 
 
 def extract_scheme(
     network: PerceptronNetwork,
     prune: bool = False,
     cap: int = DEFAULT_ENUM_CAP,
-    backend: Optional[str] = None,
 ) -> ExtractionReport:
     """Present the network's accepted set as a union of first-layer cells.
 
@@ -160,7 +155,7 @@ def extract_scheme(
     """
     _require_single_output(network)
     n1 = network.layers[0].output_dim
-    accepted = _accepted_indices(network, cap, backend)
+    accepted = _accepted_indices(network, cap)
     pairs = [pair_of_bits(g, n1) for g in accepted]
     pruned = 0
     if prune:
@@ -185,7 +180,6 @@ def normalize_three_layers(
     network: PerceptronNetwork,
     permit_constant: bool = False,
     cap: int = DEFAULT_ENUM_CAP,
-    backend: Optional[str] = None,
 ) -> PerceptronNetwork | ConstantNetwork:
     """Equivalent 3-layer network with the identical first layer.
 
@@ -194,7 +188,7 @@ def normalize_three_layers(
     constant-0 sentinel.
     """
     _require_single_output(network)
-    report = extract_scheme(network, prune=False, cap=cap, backend=backend)
+    report = extract_scheme(network, prune=False, cap=cap)
     if report.accepted_count == 0:
         if permit_constant:
             return ConstantNetwork(0, network.input_dim)
@@ -233,7 +227,6 @@ def check_equivalence(
     seed: int = 0,
     samples: int = 200,
     cap: int = DEFAULT_ENUM_CAP,
-    backend: Optional[str] = None,
 ) -> EquivalenceResult:
     """Compare two single-output networks.
 
@@ -269,8 +262,8 @@ def check_equivalence(
             "these first layers differ"
         )
     n1 = left.layers[0].output_dim
-    accepted_left = set(_accepted_indices(left, cap, backend))
-    accepted_right = set(_accepted_indices(right, cap, backend))
+    accepted_left = set(_accepted_indices(left, cap))
+    accepted_right = set(_accepted_indices(right, cap))
     halfspaces = left.layers[0].units
     checked = 1 << n1
     for g in sorted(accepted_left ^ accepted_right):

@@ -1,4 +1,5 @@
-"""Seeded generators shared by the unit and acceptance tests.
+"""Seeded generators shared by the unit and acceptance tests, and the
+exhaustive unit truth-table sweep that checks their rows.
 
 Everything takes an explicit random.Random so failures reproduce; the
 sizes default to the scales the acceptance criteria use.
@@ -92,6 +93,45 @@ def sweep_row(pair: IndexPair, is_conj: bool) -> tuple[int, int, int, int, int, 
     p1 = sum(1 << (i - 1) for i in pair.ones.members)
     p0 = sum(1 << (i - 1) for i in pair.zeros.members)
     return (int(doubled), m1, m0, p1, p0, 1 if is_conj else 0)
+
+
+def sweep_unit_tables(
+    n: int, rows: list[tuple[int, int, int, int, int, int]]
+) -> tuple[int, int, int, int]:
+    """Exhaustive truth-table check of unit forms against boolean masks.
+
+    Each row is (bias2, m1, m0, p1, p0, is_conj): bias2/m1/m0 describe the
+    doubled linear form (value 2f(b) = bias2 + 2(|b&m1| - |b&m0|)), while
+    p1/p0 are the raw index masks for the independent boolean route.
+    Checks, per b: unit bit equals the boolean bit, the value is an odd
+    integer (a half-integer form value), and the match/miss dichotomy
+    (+1 vs <= -1 for AND rows, >= +1 vs -1 for OR rows).
+    Returns (checks, failures, first_bad_row, first_bad_b).
+    """
+    total = 1 << n
+    checks = 0
+    failures = 0
+    first_row = -1
+    first_b = -1
+    for r, (bias2, m1, m0, p1, p0, is_conj) in enumerate(rows):
+        for b in range(total):
+            v2 = bias2 + 2 * ((b & m1).bit_count() - (b & m0).bit_count())
+            unit_bit = v2 >= 0
+            if is_conj:
+                bool_bit = (b & p1) == p1 and (b & p0) == 0
+                ok = unit_bit == bool_bit and (v2 == 1 if bool_bit else v2 <= -1)
+            else:
+                bool_bit = (b & p1) != 0 or (b & p0) != p0
+                ok = unit_bit == bool_bit and (v2 >= 1 if bool_bit else v2 == -1)
+            if ok and not v2 & 1:
+                ok = False
+            checks += 1
+            if not ok:
+                failures += 1
+                if first_row < 0:
+                    first_row = r
+                    first_b = b
+    return checks, failures, first_row, first_b
 
 
 def scheme(

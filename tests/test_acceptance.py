@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from polyperc import (
-    HAVE_COMPILED,
     IndexPair,
     IndexSet,
     InequalityKind,
@@ -44,7 +43,6 @@ from polyperc import (
     parse_halfspace,
     parse_network,
     parse_scheme,
-    sweep_unit_tables,
     union,
     witness,
 )
@@ -115,25 +113,21 @@ def test_criterion_1_unit_truth_tables():
                     assert du.contains(bits) == int(hit)
                     rational_checks += 2
 
-        # route 2: integer kernels over the full range of sizes
+        # route 2: integer truth tables over the full range of sizes
         kernel_checks = 0
-        if HAVE_COMPILED:
-            plan = [(n, None) for n in range(1, 11)]
-            mode = "all pairs to n=10, compiled"
-        else:
-            rng = random.Random(1601)
-            plan = [(n, None) for n in range(1, 8)] + [
-                (n, [randgen.consistent_pair(rng, n) for _ in range(300)])
-                for n in (8, 9, 10)
-            ]
-            mode = "all pairs to n=7 + 300 sampled pairs at n=8..10, python"
+        rng = random.Random(1601)
+        plan = [(n, None) for n in range(1, 8)] + [
+            (n, [randgen.consistent_pair(rng, n) for _ in range(300)])
+            for n in (8, 9, 10)
+        ]
+        mode = "all pairs to n=7 + 300 sampled pairs at n=8..10"
         for n, sampled in plan:
             pairs = sampled if sampled is not None else consistent_nonempty_pairs(n)
             rows = []
             for pair in pairs:
                 rows.append(randgen.sweep_row(pair, True))
                 rows.append(randgen.sweep_row(pair, False))
-            checks, failures, first_row, first_b = sweep_unit_tables(n, rows)
+            checks, failures, first_row, first_b = randgen.sweep_unit_tables(n, rows)
             assert checks == len(rows) * (1 << n)
             assert failures == 0, (n, first_row, first_b)
             if sampled is None:

@@ -381,3 +381,25 @@ def test_module_and_script_invocations(files):
     if ep is None:
         pytest.skip("no tomllib to read pyproject.toml and polyperc not installed")
     check_script(script_wrapper(ep))
+
+
+def test_import_loads_no_numpy_or_cython():
+    # every CLI call and every library user pays for what the import loads
+    env = dict(os.environ)
+    package_root = str(Path(polyperc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, polyperc, polyperc.cli\n"
+        "heavy = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'Cython')]\n"
+        "print(polyperc.__file__)\n"
+        "print(','.join(sorted(heavy)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    where, heavy = proc.stdout.splitlines()
+    assert Path(where).resolve() == Path(polyperc.__file__).resolve()
+    assert heavy == ""
