@@ -5,7 +5,7 @@ file via --out), and signals its outcome through the exit code:
 
     0  success / equivalent / feasible
     1  semantic negative: counterexample found, system infeasible
-    2  unreadable or unparsable input
+    2  unreadable or unparsable input, or an unwritable --out path
     3  dimension or precondition violation
     4  scheme that cannot be synthesized
     5  size cap exceeded
@@ -21,7 +21,6 @@ from .errors import ParseError, PolypercError, PreconditionError, SchemeError
 from .feasibility import (
     DEFAULT_CONSTRAINT_CAP,
     InequalitySystem,
-    is_feasible,
     witness,
 )
 from .geometry import format_point, parse_halfspace_block, parse_point
@@ -56,6 +55,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _read_points(path: str):
@@ -83,9 +84,12 @@ def _positive(text: str) -> int:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_eval(args) -> int:
@@ -195,10 +199,10 @@ def _cmd_prune(args) -> int:
 def _cmd_feasible(args) -> int:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
     system = InequalitySystem(tuple((h.form, h.kind) for h in halfspaces))
-    if not is_feasible(system, args.cap):
+    point = witness(system, args.cap)
+    if point is None:
         _emit("INFEASIBLE\n", args.out)
         return 1
-    point = witness(system, args.cap)
     _emit(f"FEASIBLE\nWITNESS={format_point(point)}\n", args.out)
     return 0
 

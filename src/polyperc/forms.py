@@ -19,8 +19,6 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 HALF = Fraction(1, 2)
 
-BitVector = tuple[int, ...]
-
 
 def adder(indices: IndexSet) -> LinearForm:
     """Sum of the selected coordinates; counts ones on binary vectors."""

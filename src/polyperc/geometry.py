@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import ConstantFormError, DimensionError, ParseError
 
-Rational = Fraction
 Point = tuple[Fraction, ...]
 
 # A rational may be written with at most this many digits, counting the

@@ -16,8 +16,6 @@ from typing import Iterable
 
 from .errors import ParseError, PreconditionError
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -58,15 +56,6 @@ class IndexSet:
         return index in self.members
 
 
-def lex_compare_sets(a: IndexSet, b: IndexSet) -> int:
-    """Total lexicographic order on index sets; a strict prefix compares less."""
-    if a.ambient != b.ambient:
-        raise PreconditionError("index sets have different ambients")
-    if a.members == b.members:
-        return EQUAL
-    return LESS if a.members < b.members else GREATER
-
-
 @dataclass(frozen=True)
 class IndexPair:
     """A pair of index sets over a shared ambient, selecting half-spaces
@@ -99,16 +88,6 @@ class IndexPair:
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.ones.members, self.zeros.members)
-
-
-def lex_compare_pairs(a: IndexPair, b: IndexPair) -> int:
-    """Compare by the ones component first, then by the zeros component."""
-    if a.ambient != b.ambient:
-        raise PreconditionError("index pairs have different ambients")
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka == kb:
-        return EQUAL
-    return LESS if ka < kb else GREATER
 
 
 @dataclass(frozen=True)

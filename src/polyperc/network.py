@@ -113,10 +113,6 @@ def layer_of(halfspaces: Iterable[HalfSpace]) -> PerceptronLayer:
     return PerceptronLayer(tuple(halfspaces))
 
 
-def layer_apply(layer: PerceptronLayer, x: Point) -> BitVector:
-    return layer.apply(x)
-
-
 @dataclass(frozen=True)
 class PerceptronNetwork:
     layers: tuple[PerceptronLayer, ...]
@@ -153,30 +149,10 @@ class PerceptronNetwork:
             mask = layer.next_mask(mask)
         return bits_of_index(mask, self.output_dim)
 
-    def trace(self, x: Point) -> tuple[BitVector, ...]:
-        """Bit vector after each layer, in order."""
-        mask = self.layers[0].point_mask(x)
-        out = [bits_of_index(mask, self.layers[0].output_dim)]
-        for layer in self.layers[1:]:
-            mask = layer.next_mask(mask)
-            out.append(bits_of_index(mask, layer.output_dim))
-        return tuple(out)
-
 
 def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
     """Input dimension followed by every layer's output dimension."""
     return (network.input_dim,) + tuple(l.output_dim for l in network.layers)
-
-
-def forward(network: PerceptronNetwork, x: Point) -> BitVector:
-    return network.forward(x)
-
-
-def tail_network(network: PerceptronNetwork) -> PerceptronNetwork | None:
-    """Layers after the first as a standalone network; None for depth 1."""
-    if network.depth == 1:
-        return None
-    return PerceptronNetwork(network.layers[1:])
 
 
 _LAYER_LINE = re.compile(r"^LAYER (\d+) (\d+)$")

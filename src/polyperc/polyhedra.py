@@ -66,18 +66,6 @@ def cocell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) 
     return 0
 
 
-def bits_match_cell(bits: Sequence[int], pair: IndexPair) -> bool:
-    return all(bits[i - 1] for i in pair.ones) and not any(
-        bits[i - 1] for i in pair.zeros
-    )
-
-
-def bits_hit_cocell(bits: Sequence[int], pair: IndexPair) -> bool:
-    return any(bits[i - 1] for i in pair.ones) or not all(
-        bits[i - 1] for i in pair.zeros
-    )
-
-
 @dataclass(frozen=True)
 class PresentedPolyhedron:
     halfspaces: tuple[HalfSpace, ...]
@@ -137,10 +125,6 @@ class PresentedPolyhedron:
             if not mask & m1 and mask & m0 == m0:
                 return 0
         return 1
-
-
-def member(polyhedron: PresentedPolyhedron, x: Point) -> int:
-    return polyhedron.member(x)
 
 
 def _same_ground(a: PresentedPolyhedron, b: PresentedPolyhedron) -> None:

@@ -24,7 +24,6 @@ from .indexing import IndexPair, IndexSet, Scheme
 from .kernels import tail_accepted_set
 from .network import (
     BitVector,
-    PerceptronLayer,
     PerceptronNetwork,
     bits_of_index,
     layer_of,
@@ -157,22 +156,17 @@ def extract_scheme(
     n1 = network.layers[0].output_dim
     accepted = _accepted_indices(network, cap)
     pairs = [pair_of_bits(g, n1) for g in accepted]
-    pruned = 0
-    if prune:
-        kept = [
-            p for p in pairs if not cell_is_empty(network.layers[0].units, p)
-        ]
-        pruned = len(pairs) - len(kept)
-        pairs = kept
     pairs.sort(key=IndexPair.sort_key)
     scheme = Scheme(
         n1, tuple(pairs), IndexSet.of(range(1, len(pairs) + 1), len(pairs))
     )
+    if prune:
+        scheme = prune_empty_cells(network.layers[0].units, scheme)
     return ExtractionReport(
         scheme=scheme,
         enumerated_count=1 << n1,
         accepted_count=len(accepted),
-        pruned_count=pruned,
+        pruned_count=len(accepted) - scheme.q,
     )
 
 

@@ -308,6 +308,49 @@ def test_missing_file_exit_2(files, capsys):
     assert "cannot read" in err
 
 
+def child_env():
+    """Environment under which a child imports the same polyperc as this process."""
+    env = dict(os.environ)
+    package_root = str(Path(polyperc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def run_child(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "polyperc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_non_utf8_input_exit_2(tmp_path):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\x00bad\n")
+    proc = run_child("feasible", str(path))
+    assert_one_error_line(proc)
+    assert proc.stderr == f"error: cannot read {path}: not UTF-8 text\n"
+    assert proc.stdout == ""
+
+
+def test_unwritable_out_path_exit_2(files, tmp_path):
+    target = tmp_path / "no" / "such" / "out"
+    proc = run_child("feasible", files("h", "0 1 >=\n"), "-o", str(target))
+    assert_one_error_line(proc)
+    assert proc.stderr.startswith(f"error: cannot write {target}: ")
+    assert proc.stdout == "" and not target.exists()
+
+
 def test_bad_network_file_exit_2(files, capsys):
     code, _, err = run(
         capsys, "eval", files("n", "LAYERS=1\nLAYER 2 1\n"), files("p", "1 1\n")
@@ -352,11 +395,7 @@ def test_module_and_script_invocations(files):
     feasible = files("h", "0 1 >=\n0 -1 >=\n")
     infeasible = files("i", "0 1 >\n0 -1 >\n")
     # children import the same polyperc as this process, wherever run from
-    env = dict(os.environ)
-    package_root = str(Path(polyperc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
+    env = child_env()
 
     def call(argv):
         return subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -385,11 +424,7 @@ def test_module_and_script_invocations(files):
 
 def test_import_loads_no_numpy_or_cython():
     # every CLI call and every library user pays for what the import loads
-    env = dict(os.environ)
-    package_root = str(Path(polyperc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
+    env = child_env()
     code = (
         "import sys, polyperc, polyperc.cli\n"
         "heavy = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'Cython')]\n"

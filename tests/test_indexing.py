@@ -11,12 +11,9 @@ from polyperc import (
     PreconditionError,
     Scheme,
     format_scheme,
-    lex_compare_pairs,
-    lex_compare_sets,
     normalize_scheme,
     parse_scheme,
 )
-from polyperc.indexing import EQUAL, GREATER, LESS
 
 import randgen
 
@@ -43,22 +40,17 @@ def test_index_set_validation(members):
 def test_lex_sets_prefix_is_less():
     a = IndexSet.of([1], 3)
     b = IndexSet.of([1, 2], 3)
-    assert lex_compare_sets(a, b) == LESS
-    assert lex_compare_sets(b, a) == GREATER
-    assert lex_compare_sets(a, a) == EQUAL
-
-
-def test_lex_sets_rejects_mixed_ambient():
-    with pytest.raises(PreconditionError):
-        lex_compare_sets(IndexSet.of([1], 2), IndexSet.of([1], 3))
+    assert a.members < b.members
+    assert b.members > a.members
+    assert a.members == IndexSet.of([1, 1], 3).members
 
 
 @hypothesis.given(subsets(6), subsets(6), subsets(6))
 def test_lex_sets_is_a_total_order(a, b, c):
-    # antisymmetry and transitivity against the tuple order it encodes
-    assert lex_compare_sets(a, b) == -lex_compare_sets(b, a)
-    if lex_compare_sets(a, b) != GREATER and lex_compare_sets(b, c) != GREATER:
-        assert lex_compare_sets(a, c) != GREATER
+    # member tuples are ascending, so tuple order is the lexicographic order
+    assert [a.members < b.members, a == b, a.members > b.members].count(True) == 1
+    if a.members <= b.members and b.members <= c.members:
+        assert a.members <= c.members
 
 
 def test_pair_consistency_and_swap():
@@ -75,9 +67,9 @@ def test_pair_lex_order_ones_first():
     b = IndexPair.of([1], [2], 2)
     c = IndexPair.of([1, 2], [], 2)
     d = IndexPair.of([2], [1], 2)
-    assert lex_compare_pairs(a, b) == LESS
-    assert lex_compare_pairs(b, c) == LESS
-    assert lex_compare_pairs(c, d) == LESS
+    assert a.sort_key() < b.sort_key()
+    assert b.sort_key() < c.sort_key()
+    assert c.sort_key() < d.sort_key()
 
 
 def test_scheme_selector_must_match_pair_count():

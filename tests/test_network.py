@@ -22,13 +22,10 @@ from polyperc import (
     cell_contains,
     cocell_contains,
     format_network,
-    forward,
-    layer_apply,
     layer_of,
     parse_halfspace,
     parse_network,
 )
-from polyperc.network import tail_network
 
 import randgen
 
@@ -66,7 +63,7 @@ def test_layer_rejects_mixed_dimensions():
 )
 def test_layer_apply_golden(two_unit_layer, x, expected):
     point = tuple(Fraction(c) for c in x)
-    assert layer_apply(two_unit_layer, point) == expected
+    assert two_unit_layer.apply(point) == expected
 
 
 def test_architecture():
@@ -88,7 +85,7 @@ def test_incomposable_layers_rejected():
 def test_forward_single_layer_is_layer_apply(two_unit_layer):
     net = PerceptronNetwork((two_unit_layer,))
     x = (Fraction(2), Fraction(3))
-    assert forward(net, x) == layer_apply(two_unit_layer, x)
+    assert net.forward(x) == two_unit_layer.apply(x)
 
 
 def test_forward_equals_nested_composition():
@@ -119,25 +116,6 @@ def test_forward_factors_through_first_layer_bits():
             if bits in seen:
                 assert seen[bits] == out
             seen[bits] = out
-
-
-def test_trace_matches_forward():
-    rng = random.Random(2)
-    net = randgen.network(rng, 2, max_depth=4)
-    x = randgen.point(rng, 2)
-    steps = net.trace(x)
-    assert len(steps) == net.depth
-    assert steps[-1] == net.forward(x)
-
-
-def test_tail_network():
-    rng = random.Random(4)
-    net = randgen.network(rng, 2, max_depth=3)
-    tail = tail_network(net)
-    if net.depth == 1:
-        assert tail is None
-    else:
-        assert tail.layers == net.layers[1:]
 
 
 HUGE = 10**5000

@@ -22,7 +22,6 @@ from polyperc import (
     format_bundle,
     halfspace_presentation,
     intersection,
-    member,
     parse_bundle,
     parse_halfspace,
     union,
@@ -304,8 +303,3 @@ def test_bundle_scheme_halfspace_mismatch_is_scheme_error(ground):
     text = "0 1 0 >=\nMODE=DNF\nN=2\nG1: ONES=1 ZEROS=-\nJ=1\n"
     with pytest.raises(SchemeError):
         parse_bundle(text)
-
-
-def test_member_function_alias(ground):
-    k = dnf(ground, [IndexPair.of([1], [], 2)])
-    assert member(k, pt(1, 0)) == k.member(pt(1, 0))

@@ -171,6 +171,15 @@ def test_extract_prune_keeps_membership(ground):
     for _ in range(40):
         x = randgen.point(rng, 1)
         assert kf.member(x) == kp.member(x)
+    # pruning during extraction is prune_empty_cells on the full scheme
+    for seed in range(40):
+        net = randgen.network(random.Random(seed), 2, max_depth=3, max_width=5)
+        full = extract_scheme(net)
+        pruned = extract_scheme(net, prune=True)
+        halfspaces = net.layers[0].units
+        assert pruned.scheme == prune_empty_cells(halfspaces, full.scheme)
+        assert pruned.pruned_count == pruned.accepted_count - pruned.scheme.q
+        assert full.pruned_count == 0
 
 
 def test_extract_rejects_multi_output(ground):
