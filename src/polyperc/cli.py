@@ -188,10 +188,6 @@ def _cmd_equiv(args) -> int:
 def _cmd_prune(args) -> int:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
     scheme = parse_scheme(_read(args.scheme))
-    if scheme.ambient != len(halfspaces):
-        raise PreconditionError(
-            f"scheme over {scheme.ambient} with {len(halfspaces)} half-spaces"
-        )
     _emit(format_scheme(prune_empty_cells(halfspaces, scheme)), args.out)
     return 0
 

@@ -1,14 +1,18 @@
 """Exact emptiness decision for systems of strict and lax linear inequalities.
 
-Variable elimination over rationals: each round removes the highest
-remaining coordinate by combining every lower bound with every upper
-bound.  A combined constraint is strict when either parent is, which is
-what keeps open and closed half-spaces apart without any perturbation.
-Witness points come from back-substitution through the recorded bounds.
+Variable elimination on integer rows: each constraint enters as its form
+times the positive lcm of its denominators (:meth:`LinearForm.lowered`),
+which keeps its sign.  Each round removes the highest remaining
+coordinate by combining every lower bound with every upper bound.  A
+combined constraint is strict when either parent is, which is what keeps
+open and closed half-spaces apart without any perturbation.  Witness
+points come from back-substitution through the recorded bounds, the only
+step that divides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,10 +25,10 @@ DEFAULT_CONSTRAINT_CAP = 2000
 
 Constraint = tuple[LinearForm, InequalityKind]
 
-# internal triple: (strict, bias, coefficient tuple)
-_Triple = tuple[bool, Fraction, tuple[Fraction, ...]]
+# internal triple: (strict, bias, coefficient tuple), all integers
+_Triple = tuple[bool, int, tuple[int, ...]]
 # bound on one variable: (strict, bias, head coefficients, pivot coefficient)
-_Bound = tuple[bool, Fraction, tuple[Fraction, ...], Fraction]
+_Bound = tuple[bool, int, tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -69,39 +73,31 @@ def system_of_cell(
     return InequalitySystem(tuple(constraints))
 
 
-def _violated_constant(strict: bool, bias: Fraction) -> bool:
+def _violated_constant(strict: bool, bias: int) -> bool:
     return bias < 0 or (strict and bias == 0)
 
 
 def _dedup(triples: list[_Triple]) -> list[_Triple]:
-    """Keep only the tightest constraint per direction.
+    """Keep only the tightest constraint per direction, in first-seen order.
 
-    Constraints are scaled so the first nonzero coefficient has magnitude
-    one; among equals in the linear part, a smaller bias is tighter, and
-    strict beats lax at the same bias.
+    Rows are keyed by their primitive direction ``coeffs // g``, with g
+    the gcd of the coefficients; among rows with one key, a smaller
+    ``bias / g`` is tighter, and strict beats lax at the same value.
     """
-    best: dict[tuple[Fraction, ...], tuple[Fraction, bool, _Triple]] = {}
-    order = []
+    best: dict[tuple[int, ...], tuple[int, _Triple]] = {}
     for triple in triples:
         strict, bias, coeffs = triple
-        scale = next((abs(c) for c in coeffs if c), None)
-        if scale is None:
-            # constants are handled by the caller
-            key = coeffs
-            scaled_bias = bias
-        else:
-            key = tuple(c / scale for c in coeffs)
-            scaled_bias = bias / scale
+        # constants are handled by the caller; they share the zero key
+        g = math.gcd(*coeffs) or 1
+        key = tuple(c // g for c in coeffs)
         kept = best.get(key)
-        if (
-            kept is None
-            or scaled_bias < kept[0]
-            or (scaled_bias == kept[0] and strict and not kept[1])
-        ):
-            if kept is None:
-                order.append(key)
-            best[key] = (scaled_bias, strict, triple)
-    return [best[key][2] for key in order]
+        if kept is not None:
+            g_kept, (strict_kept, bias_kept, _) = kept
+            lhs, rhs = bias * g_kept, bias_kept * g
+            if not (lhs < rhs or (lhs == rhs and strict and not strict_kept)):
+                continue
+        best[key] = (g, triple)
+    return [triple for _, triple in best.values()]
 
 
 def _eliminate(
@@ -138,7 +134,8 @@ def _eliminate(
         for s_lo, b_lo, h_lo, c_lo in lowers:
             for s_up, b_up, h_up, c_up in uppers:
                 # positive combination cancelling the pivot: c_lo > 0 > c_up
-                m_up, m_lo = c_lo, -c_up
+                g = math.gcd(c_lo, c_up)
+                m_up, m_lo = c_lo // g, -c_up // g
                 combined.append(
                     (
                         s_lo or s_up,
@@ -161,7 +158,7 @@ def _eliminate(
 
 def _triples_of(system: InequalitySystem) -> list[_Triple]:
     return [
-        (kind is InequalityKind.STRICT, form.bias, form.weights)
+        (kind is InequalityKind.STRICT, *form.lowered())
         for form, kind in system.constraints
     ]
 
@@ -175,7 +172,8 @@ def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> 
 
 def _bound_value(bound: _Bound, point: list[Fraction]) -> Fraction:
     _, bias, head, pivot = bound
-    rest = bias + sum(w * p for w, p in zip(head, point) if w)
+    # a Fraction start keeps the quotient exact for an empty prefix point
+    rest = sum((w * p for w, p in zip(head, point) if w), Fraction(bias))
     return -rest / pivot
 
 

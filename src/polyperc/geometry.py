@@ -9,6 +9,7 @@ coerced on construction.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -154,6 +155,14 @@ class LinearForm:
             if w:
                 total += w * c
         return total
+
+    def lowered(self) -> tuple[int, tuple[int, ...]]:
+        """Bias and weights times the positive lcm of their denominators."""
+        scale = math.lcm(
+            self.bias.denominator, *(w.denominator for w in self.weights)
+        )
+        bias = self.bias.numerator * (scale // self.bias.denominator)
+        return bias, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     def negated(self) -> "LinearForm":
         return LinearForm(-self.bias, tuple(-w for w in self.weights))

@@ -116,11 +116,6 @@ class Scheme:
     def selected_pairs(self) -> tuple[IndexPair, ...]:
         return tuple(self.pairs[j - 1] for j in self.selector)
 
-    @property
-    def is_normalized(self) -> bool:
-        keys = [pair.sort_key() for pair in self.pairs]
-        return all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
-
 
 def normalize_scheme(scheme: Scheme) -> Scheme:
     """Sort pairs, merge duplicates, and re-index the selector.

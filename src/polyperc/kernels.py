@@ -17,10 +17,10 @@ from .network import PerceptronLayer
 # stays so that callers reporting the build keep working.
 HAVE_COMPILED = False
 
-IntLayer = tuple[list[int], list[list[int]], list[bool]]
 
-
-def lower_layer(layer: PerceptronLayer) -> IntLayer:
+def lower_layer(
+    layer: PerceptronLayer,
+) -> tuple[list[int], list[list[int]], list[bool]]:
     """The layer's own integer lowering (see ``PerceptronLayer.lowered``),
     as fresh lists; the positive per-unit scale keeps every sign."""
     biases, weights, lax = layer.lowered

@@ -60,20 +60,10 @@ class PerceptronLayer:
 
     @cached_property
     def lowered(self) -> IntLayer:
-        """Every unit's form times the positive lcm of its denominators."""
-        biases = []
-        weights = []
-        for unit in self.units:
-            form = unit.form
-            scale = math.lcm(
-                form.bias.denominator, *(w.denominator for w in form.weights)
-            )
-            biases.append(form.bias.numerator * (scale // form.bias.denominator))
-            weights.append(
-                tuple(w.numerator * (scale // w.denominator) for w in form.weights)
-            )
+        """Every unit's :meth:`LinearForm.lowered`, plus its lax flag."""
+        biases, weights = zip(*(unit.form.lowered() for unit in self.units))
         lax = tuple(u.kind is InequalityKind.LAX for u in self.units)
-        return tuple(biases), tuple(weights), lax
+        return biases, weights, lax
 
     def point_mask(self, x: Point) -> int:
         """Firing units on a rational point as an int mask (bit u-1 is unit u).

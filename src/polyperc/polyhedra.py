@@ -181,7 +181,8 @@ def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
     needs some index both plain and complemented is dropped.  With zero
     clauses the single empty choice yields the empty pair.  Partial
     merges are deduplicated after every clause, which bounds the working
-    set by 3^n instead of the full product of clause sizes.
+    set by 3^n instead of the full product of clause sizes.  The pairs
+    come out unordered; every caller normalizes them.
     """
     partial = {(frozenset(), frozenset())}
     for clause in clauses:
@@ -199,10 +200,7 @@ def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
         partial = merged
         if not partial:
             break
-    ordered = sorted(
-        partial, key=lambda t: (tuple(sorted(t[0])), tuple(sorted(t[1])))
-    )
-    return [IndexPair.of(ones, zeros, n) for ones, zeros in ordered]
+    return [IndexPair.of(ones, zeros, n) for ones, zeros in partial]
 
 
 def cnf_to_dnf(k: PresentedPolyhedron) -> PresentedPolyhedron:

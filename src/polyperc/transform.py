@@ -194,6 +194,10 @@ def prune_empty_cells(
     halfspaces: Sequence[HalfSpace], scheme: Scheme
 ) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
+    if scheme.ambient != len(halfspaces):
+        raise PreconditionError(
+            f"scheme over {scheme.ambient} with {len(halfspaces)} half-spaces"
+        )
     keep: list[IndexPair] = []
     selected: list[int] = []
     chosen = set(scheme.selector.members)

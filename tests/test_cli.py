@@ -265,6 +265,7 @@ def test_prune_ambient_mismatch_exit_3(files, capsys):
         capsys, "prune", files("h", "0 1 >=\n"), files("s", AND_SCHEME)
     )
     assert code == 3
+    assert err == "error: scheme over 2 with 1 half-spaces\n"
 
 
 def test_feasible_golden(files, capsys):

@@ -1,6 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
@@ -8,6 +11,7 @@ from polyperc import (
     IndexPair,
     InequalityKind,
     InequalitySystem,
+    LinearForm,
     SizeCapError,
     cell_is_empty,
     cell_witness,
@@ -163,3 +167,105 @@ def test_strict_propagates_through_elimination():
     lax = system("0 -1 1 >=", "0 1 0 >=", "0 0 -1 >=")
     assert is_feasible(lax)
     assert witness(lax) == (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "first, second", [("0 -1 1 >", "0 -2 2 >="), ("0 -2 2 >=", "0 -1 1 >")]
+)
+def test_strict_wins_a_dedup_tie(first, second):
+    # eliminating x2 against x2 <= 0 turns x2 > x1 and 2*x2 >= 2*x1 into
+    # rows of one direction and one scaled bias; only the strict one makes
+    # x1 >= 0 infeasible, whichever comes first
+    s = system(first, second, "0 0 -1 >=", "0 1 0 >=")
+    assert not is_feasible(s)
+    assert witness(s) is None
+
+
+def arrangement_cell_witnesses(rng, count):
+    """``cell_witness`` on every full sign pattern of seeded arrangements
+    of 5 to 8 half-spaces in 2 or 3 dimensions."""
+    out = []
+    for _ in range(count):
+        m, n = rng.choice((2, 3)), rng.choice((5, 6, 7, 8))
+        hs = randgen.halfspaces(rng, n, m)
+        for g in range(1 << n):
+            ones = [i + 1 for i in range(n) if g >> i & 1]
+            zeros = [i + 1 for i in range(n) if not g >> i & 1]
+            out.append(cell_witness(hs, IndexPair.of(ones, zeros, n)))
+    return out
+
+
+def capped_witnesses(rng, count, cap):
+    """``witness`` on seeded 5- and 6-dimensional systems, or the message
+    of the ``SizeCapError`` it raises."""
+    out = []
+    for _ in range(count):
+        dim = rng.choice((5, 6))
+        s = of_halfspaces(randgen.halfspaces(rng, rng.randint(5, 9), dim))
+        try:
+            out.append(witness(s, cap))
+        except SizeCapError as exc:
+            out.append(str(exc))
+    return out
+
+
+def sha256_of_repr(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of repr(...) of each list, computed with rational rows; integer
+# rows must give the same witnesses and the same cap messages
+CELLS_DIGEST = "c14c04028a9c10acecb88286a8a6bff1ab5164b31439c036f18c6fcd6099f652"
+CAPPED_DIGEST = "a57b4e699f6ac213a94b98f63101585b344b45727c32fb7900641214b77a69a4"
+
+
+def test_cell_witnesses_pinned():
+    out = arrangement_cell_witnesses(random.Random(1001), 24)
+    assert (len(out), sum(w is None for w in out)) == (1888, 984)
+    assert sha256_of_repr(out) == CELLS_DIGEST
+
+
+def test_capped_witnesses_pinned():
+    out = capped_witnesses(random.Random(1002), 60, 200)
+    assert sum(isinstance(w, str) for w in out) == 13
+    assert sha256_of_repr(out) == CAPPED_DIGEST
+
+
+HUGE = 10**5000
+
+scales = strat.sampled_from([1, 2, 3, HUGE, Fraction(1, HUGE), Fraction(2, 3)])
+coefficients = strat.one_of(
+    strat.integers(-3, 3),
+    strat.fractions(min_value=-3, max_value=3, max_denominator=5),
+    strat.sampled_from([HUGE, -HUGE, Fraction(1, HUGE), Fraction(-3, HUGE + 1)]),
+)
+
+
+@strat.composite
+def parallel_systems(draw):
+    """Systems whose rows are positive or negative multiples of a few
+    hyperplanes, in either kind: repeated directions with tied scaled
+    biases are what dedup has to sort out."""
+    dim = draw(strat.integers(1, 3))
+    planes = [
+        (draw(coefficients), [draw(coefficients) for _ in range(dim)])
+        for _ in range(draw(strat.integers(1, 3)))
+    ]
+    constraints = []
+    for _ in range(draw(strat.integers(1, 7))):
+        bias, weights = draw(strat.sampled_from(planes))
+        scale = draw(scales) * draw(strat.sampled_from([1, -1]))
+        form = LinearForm(scale * bias, tuple(scale * w for w in weights))
+        constraints.append((form, draw(strat.sampled_from(InequalityKind))))
+    return InequalitySystem(tuple(constraints))
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(parallel_systems())
+def test_witness_satisfies_and_matches_is_feasible(s):
+    w = witness(s)
+    assert is_feasible(s) == (w is not None)
+    if w is not None:
+        assert len(w) == s.dimension
+        assert all(type(c) is Fraction for c in w)
+        assert s.satisfies(w)

@@ -269,6 +269,17 @@ def test_prune_keeps_mute_pairs():
     assert pruned == s
 
 
+def test_prune_rejects_mismatched_scheme():
+    hs = tuple(parse_halfspace(line) for line in ("0 1 >=", "-1 1 >", "2 -1 >="))
+    # with nothing selected no cell is built, so only the ambient check sees it
+    mute = Scheme(5, (IndexPair.of([1], [], 5),), IndexSet.of([], 1))
+    selected = Scheme(5, mute.pairs, IndexSet.of([1], 1))
+    for scheme in (mute, selected):
+        with pytest.raises(PreconditionError) as info:
+            prune_empty_cells(hs, scheme)
+        assert str(info.value) == "scheme over 5 with 3 half-spaces"
+
+
 def test_equivalence_reflexive(ground):
     net = build_dnf_network(ground, and_scheme())
     result = check_equivalence(net, net)
