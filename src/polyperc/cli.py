@@ -24,7 +24,7 @@ from .feasibility import (
     witness,
 )
 from .geometry import format_point, parse_halfspace_block, parse_point
-from .indexing import format_scheme, parse_scheme
+from .indexing import check_ground, format_scheme, parse_scheme_lines
 from .network import format_network, parse_network
 from .polyhedra import (
     Mode,
@@ -40,6 +40,7 @@ from .polyhedra import (
 from .transform import (
     DEFAULT_ENUM_CAP,
     ConstantNetwork,
+    _check_prune_ground,
     build_cnf_network,
     build_dnf_network,
     check_equivalence,
@@ -111,7 +112,10 @@ def _cmd_member(args) -> int:
 
 def _cmd_synth(args) -> int:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
-    scheme = parse_scheme(_read(args.scheme))
+    # N= is checked before any mask is built, so a huge N= costs nothing
+    scheme = parse_scheme_lines(
+        _read(args.scheme).splitlines(), 1, lambda n: check_ground(n, len(halfspaces))
+    )
     build = build_dnf_network if args.mode == "dnf" else build_cnf_network
     _emit(format_network(build(halfspaces, scheme)), args.out)
     return 0
@@ -187,7 +191,9 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_prune(args) -> int:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
-    scheme = parse_scheme(_read(args.scheme))
+    scheme = parse_scheme_lines(
+        _read(args.scheme).splitlines(), 1, lambda n: _check_prune_ground(n, len(halfspaces))
+    )
     _emit(format_scheme(prune_empty_cells(halfspaces, scheme)), args.out)
     return 0
 

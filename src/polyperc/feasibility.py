@@ -63,14 +63,9 @@ def system_of_cell(
         raise PreconditionError(
             f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}"
         )
-    constraints = []
-    for i in pair.ones:
-        h = halfspaces[i - 1]
-        constraints.append((h.form, h.kind))
-    for i in pair.zeros:
-        h = halfspaces[i - 1].complement()
-        constraints.append((h.form, h.kind))
-    return InequalitySystem(tuple(constraints))
+    chosen = [halfspaces[i - 1] for i in pair.ones]
+    chosen += [halfspaces[i - 1].complement() for i in pair.zeros]
+    return InequalitySystem(tuple((h.form, h.kind) for h in chosen))
 
 
 def _violated_constant(strict: bool, bias: int) -> bool:

@@ -20,12 +20,17 @@ MINUS_ONE = Fraction(-1)
 HALF = Fraction(1, 2)
 
 
+def _weights(ones: int, zeros: int, ambient: int) -> tuple[Fraction, ...]:
+    """Weight 1 on each ones index, -1 on each zeros index, 0 elsewhere."""
+    return tuple(
+        ONE if ones >> i & 1 else MINUS_ONE if zeros >> i & 1 else ZERO
+        for i in range(ambient)
+    )
+
+
 def adder(indices: IndexSet) -> LinearForm:
     """Sum of the selected coordinates; counts ones on binary vectors."""
-    weights = [ZERO] * indices.ambient
-    for i in indices:
-        weights[i - 1] = ONE
-    return LinearForm(ZERO, tuple(weights))
+    return LinearForm(ZERO, _weights(indices.mask, 0, indices.ambient))
 
 
 def _check_unit_pair(pair: IndexPair, what: str) -> None:
@@ -39,24 +44,16 @@ def conj_form(pair: IndexPair) -> LinearForm:
     """Form that is 1/2 on binary b exactly when every ones index is 1 and
     every zeros index is 0, and at most -1/2 otherwise."""
     _check_unit_pair(pair, "conjunctive form")
-    weights = [ZERO] * pair.ambient
-    for i in pair.ones:
-        weights[i - 1] = ONE
-    for i in pair.zeros:
-        weights[i - 1] = MINUS_ONE
-    return LinearForm(HALF - pair.ones.size, tuple(weights))
+    weights = _weights(pair.ones_mask, pair.zeros_mask, pair.ambient)
+    return LinearForm(HALF - pair.ones_mask.bit_count(), weights)
 
 
 def disj_form(pair: IndexPair) -> LinearForm:
     """Form that is -1/2 on binary b exactly when every ones index is 0 and
     every zeros index is 1, and at least 1/2 otherwise."""
     _check_unit_pair(pair, "disjunctive form")
-    weights = [ZERO] * pair.ambient
-    for i in pair.ones:
-        weights[i - 1] = ONE
-    for i in pair.zeros:
-        weights[i - 1] = MINUS_ONE
-    return LinearForm(pair.zeros.size - HALF, tuple(weights))
+    weights = _weights(pair.ones_mask, pair.zeros_mask, pair.ambient)
+    return LinearForm(pair.zeros_mask.bit_count() - HALF, weights)
 
 
 def conj_unit(pair: IndexPair) -> HalfSpace:

@@ -5,89 +5,142 @@ driven by: an ordered list of index pairs plus a selector picking which
 of them participate.  Raw schemes may arrive unsorted or with duplicate
 pairs; :func:`normalize_scheme` produces the canonical sorted,
 duplicate-free version without changing what any polyhedron built from
-the scheme contains.
+the scheme contains.  An index set is an int mask, bit i-1 standing for
+index i; its member tuple is derived from the mask on each read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from operator import lt
+from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, SchemeError
+
+_set = object.__setattr__
+_MEMBERS_FIRST = str.maketrans("01", "10")
+# the 1-based positions of the set bits of each byte value
+_BYTE_MEMBERS = [tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256)]
 
 
-@dataclass(frozen=True)
+def _checked(members: Iterable[int], ambient: int) -> tuple[int, ...]:
+    """The members, once they are strictly increasing positive integers,
+    all at most ``ambient``; ``ValueError`` otherwise."""
+    members = tuple(members)
+    if ambient < 0:
+        raise ValueError("ambient must be non-negative")
+    if not all(map(lt, (0,) + members, members)):
+        raise ValueError("members must be strictly increasing positive integers")
+    if members and members[-1] > ambient:
+        raise ValueError(f"member {members[-1]} exceeds ambient {ambient}")
+    return members
+
+
+def _mask_of(members: Sequence[int]) -> int:
+    """Mask of checked members, in time linear in the largest one."""
+    digits = bytearray(b"0") * (members[-1] if members else 1)
+    for i in members:
+        digits[-i] = 49  # "1"
+    return int(digits, 2)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """Ascending indices of a mask, in time linear in its length."""
+    octets = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return tuple([8 * k + i for k, octet in enumerate(octets) for i in _BYTE_MEMBERS[octet]])
+
+
+def lex_key(mask: int) -> str:
+    """Sorts masks as their ascending member tuples sort: reading index 1
+    first, a member (0) beats a non-member (1), and a set that has no
+    member left beats both."""
+    return bin(mask)[:1:-1].rstrip("0").translate(_MEMBERS_FIRST)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class IndexSet:
-    """Strictly increasing positive integers, all at most ``ambient``."""
+    """Distinct indices in 1..``ambient``; bit i-1 of ``mask`` is index i."""
 
-    members: tuple[int, ...]
+    mask: int
     ambient: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if self.ambient < 0:
-            raise ValueError("ambient must be non-negative")
-        previous = 0
-        for index in self.members:
-            if index <= previous:
-                raise ValueError("members must be strictly increasing positive integers")
-            previous = index
-        if self.members and self.members[-1] > self.ambient:
-            raise ValueError(f"member {self.members[-1]} exceeds ambient {self.ambient}")
+    def __init__(self, members: Iterable[int], ambient: int):
+        _set(self, "mask", _mask_of(_checked(members, ambient)))
+        _set(self, "ambient", ambient)
 
     @classmethod
     def of(cls, members: Iterable[int], ambient: int) -> "IndexSet":
         """Build from any iterable, sorting and deduplicating."""
-        return cls(tuple(sorted(set(members))), ambient)
+        return cls(sorted(set(members)), ambient)
+
+    @classmethod
+    def from_mask(cls, mask: int, ambient: int) -> "IndexSet":
+        """Wrap a mask the caller knows lies below ``1 << ambient``."""
+        index_set = object.__new__(cls)
+        _set(index_set, "mask", mask)
+        _set(index_set, "ambient", ambient)
+        return index_set
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return _members(self.mask)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     @property
     def is_empty(self) -> bool:
-        return not self.members
+        return not self.mask
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, index: int) -> bool:
-        return index in self.members
+        return 0 < index <= self.ambient and self.mask >> (index - 1) & 1 == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexPair:
     """A pair of index sets over a shared ambient, selecting half-spaces
-    to include as-is (``ones``) and to include complemented (``zeros``)."""
+    to include as-is (``ones``) and to include complemented (``zeros``).
+    The pair holds both masks; ``ones`` and ``zeros`` wrap them."""
 
-    ones: IndexSet
-    zeros: IndexSet
-
-    def __post_init__(self):
-        if self.ones.ambient != self.zeros.ambient:
-            raise PreconditionError("pair components have different ambients")
+    ones_mask: int
+    zeros_mask: int
+    ambient: int
 
     @classmethod
     def of(cls, ones: Iterable[int], zeros: Iterable[int], ambient: int) -> "IndexPair":
-        return cls(IndexSet.of(ones, ambient), IndexSet.of(zeros, ambient))
+        return cls(IndexSet.of(ones, ambient).mask, IndexSet.of(zeros, ambient).mask, ambient)
 
     @property
-    def ambient(self) -> int:
-        return self.ones.ambient
+    def ones(self) -> IndexSet:
+        return IndexSet.from_mask(self.ones_mask, self.ambient)
+
+    @property
+    def zeros(self) -> IndexSet:
+        return IndexSet.from_mask(self.zeros_mask, self.ambient)
 
     @property
     def is_empty(self) -> bool:
-        return self.ones.is_empty and self.zeros.is_empty
+        return not self.ones_mask | self.zeros_mask
 
     def is_consistent(self) -> bool:
-        return not set(self.ones.members) & set(self.zeros.members)
+        return not self.ones_mask & self.zeros_mask
 
     def swapped(self) -> "IndexPair":
-        return IndexPair(self.zeros, self.ones)
+        return IndexPair(self.zeros_mask, self.ones_mask, self.ambient)
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.ones.members, self.zeros.members)
+
+
+def check_ground(ambient: int, halfspaces: int) -> None:
+    """A scheme over ``ambient`` indices needs exactly that many half-spaces."""
+    if ambient != halfspaces:
+        raise SchemeError(f"scheme over {ambient} pairs with {halfspaces} half-spaces")
 
 
 @dataclass(frozen=True)
@@ -123,23 +176,23 @@ def normalize_scheme(scheme: Scheme) -> Scheme:
     A merged pair is selected when any of its original copies was, which
     leaves both the DNF union and the CNF intersection unchanged.
     """
-    unique = {pair.sort_key(): pair for pair in scheme.pairs}
-    ordered = sorted(unique.values(), key=IndexPair.sort_key)
-    position = {pair.sort_key(): k + 1 for k, pair in enumerate(ordered)}
-    selected = {position[scheme.pairs[j - 1].sort_key()] for j in scheme.selector}
+    ordered = sorted(
+        dict.fromkeys(scheme.pairs), key=lambda p: (lex_key(p.ones_mask), lex_key(p.zeros_mask))
+    )
+    position = {pair: k for k, pair in enumerate(ordered, 1)}
+    selected = {position[scheme.pairs[j - 1]] for j in scheme.selector}
     return Scheme(scheme.ambient, tuple(ordered), IndexSet.of(selected, len(ordered)))
 
 
-def _format_members(index_set: IndexSet) -> str:
-    return ",".join(str(i) for i in index_set.members) if index_set.members else "-"
+def _format_members(mask: int) -> str:
+    return ",".join(map(str, _members(mask))) or "-"
 
 
-def _parse_members(text: str, ambient: int, lineno: int | None) -> IndexSet:
+def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
     if text == "-":
-        return IndexSet((), ambient)
+        return ()
     try:
-        members = tuple(int(part) for part in text.split(","))
-        return IndexSet(members, ambient)
+        return _checked((int(part) for part in text.split(",")), ambient)
     except ValueError as exc:
         raise ParseError(f"bad index list {text!r}: {exc}", lineno) from exc
 
@@ -150,13 +203,22 @@ _PAIR_LINE = re.compile(r"^G(\d+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 def format_scheme(scheme: Scheme) -> str:
     lines = [f"N={scheme.ambient}"]
     for k, pair in enumerate(scheme.pairs, 1):
-        lines.append(f"G{k}: ONES={_format_members(pair.ones)} ZEROS={_format_members(pair.zeros)}")
-    lines.append(f"J={_format_members(scheme.selector)}")
+        lines.append(f"G{k}: ONES={_format_members(pair.ones_mask)} ZEROS={_format_members(pair.zeros_mask)}")
+    lines.append(f"J={_format_members(scheme.selector.mask)}")
     return "\n".join(lines) + "\n"
 
 
-def parse_scheme_lines(lines: list[str], first_lineno: int = 1) -> Scheme:
-    """Parse the scheme block format: ``N=``, then ``G<k>:`` lines, then ``J=``."""
+def parse_scheme_lines(
+    lines: list[str],
+    first_lineno: int = 1,
+    check_ambient: Callable[[int], None] | None = None,
+) -> Scheme:
+    """Parse the scheme block format: ``N=``, then ``G<k>:`` lines, then ``J=``.
+
+    ``check_ambient`` sees N= after every line has parsed and before any
+    mask is built, so a caller can refuse an N= that does not match its
+    half-spaces before a huge index costs a huge mask.
+    """
     rows = [(first_lineno + k, line) for k, line in enumerate(lines) if line.strip()]
     if not rows:
         raise ParseError("empty scheme block", first_lineno)
@@ -170,28 +232,26 @@ def parse_scheme_lines(lines: list[str], first_lineno: int = 1) -> Scheme:
     if ambient < 1:
         raise ParseError("scheme ambient must be positive", lineno)
 
-    pairs: list[IndexPair] = []
-    selector: IndexSet | None = None
+    members: list[tuple[tuple[int, ...], ...]] = []
+    selector: tuple[int, ...] | None = None
     for row, (lineno, line) in enumerate(rows[1:], 1):
         if line.startswith("J="):
-            selector = _parse_members(line[2:], len(pairs), lineno)
+            selector = _parse_members(line[2:], len(members), lineno)
             if row < len(rows) - 1:
                 raise ParseError("unexpected content after J= line", rows[row + 1][0])
             break
         match = _PAIR_LINE.match(line)
         if not match:
             raise ParseError(f"bad scheme line {line!r}", lineno)
-        if int(match.group(1)) != len(pairs) + 1:
+        if int(match.group(1)) != len(members) + 1:
             raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
-        pairs.append(
-            IndexPair(
-                _parse_members(match.group(2), ambient, lineno),
-                _parse_members(match.group(3), ambient, lineno),
-            )
-        )
+        members.append(tuple(_parse_members(text, ambient, lineno) for text in match.group(2, 3)))
     if selector is None:
         raise ParseError("scheme block has no J= line", rows[-1][0])
-    return Scheme(ambient, tuple(pairs), selector)
+    if check_ambient is not None:
+        check_ambient(ambient)
+    pairs = tuple(IndexPair(_mask_of(ones), _mask_of(zeros), ambient) for ones, zeros in members)
+    return Scheme(ambient, pairs, IndexSet.from_mask(_mask_of(selector), len(pairs)))
 
 
 def parse_scheme(text: str) -> Scheme:

@@ -15,11 +15,13 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
+from .feasibility import system_of_cell
 from .geometry import HalfSpace, Point, format_halfspace, parse_halfspace
 from .indexing import (
     IndexPair,
     IndexSet,
     Scheme,
+    check_ground,
     format_scheme,
     normalize_scheme,
     parse_scheme_lines,
@@ -32,38 +34,18 @@ class Mode(enum.Enum):
     CNF = "CNF"
 
 
-def _check_pair_ambient(halfspaces: Sequence[HalfSpace], pair: IndexPair) -> None:
-    if pair.ambient != len(halfspaces):
-        raise PreconditionError(
-            f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}"
-        )
-
-
 def cell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) -> int:
     """Membership in the intersection of the ones half-spaces and the
     complements of the zeros half-spaces.  An inconsistent pair denotes
     the empty set; the empty pair denotes the whole space."""
-    _check_pair_ambient(halfspaces, pair)
-    for i in pair.ones:
-        if not halfspaces[i - 1].contains(x):
-            return 0
-    for i in pair.zeros:
-        if halfspaces[i - 1].contains(x):
-            return 0
-    return 1
+    return int(system_of_cell(halfspaces, pair).satisfies(x))
 
 
 def cocell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) -> int:
     """Membership in the union of the ones half-spaces and the complements
-    of the zeros half-spaces.  The empty pair denotes the empty set."""
-    _check_pair_ambient(halfspaces, pair)
-    for i in pair.ones:
-        if halfspaces[i - 1].contains(x):
-            return 1
-    for i in pair.zeros:
-        if not halfspaces[i - 1].contains(x):
-            return 1
-    return 0
+    of the zeros half-spaces, the complement of the swapped pair's cell.
+    The empty pair denotes the empty set."""
+    return 1 - cell_contains(halfspaces, pair.swapped(), x)
 
 
 @dataclass(frozen=True)
@@ -78,11 +60,7 @@ class PresentedPolyhedron:
         dims = {h.form.dimension for h in self.halfspaces}
         if len(dims) != 1:
             raise DimensionError("half-spaces of mixed dimension")
-        if self.scheme.ambient != len(self.halfspaces):
-            raise SchemeError(
-                f"scheme over {self.scheme.ambient} pairs with "
-                f"{len(self.halfspaces)} half-spaces"
-            )
+        check_ground(self.scheme.ambient, len(self.halfspaces))
         for j in self.scheme.selector:
             if not self.scheme.pairs[j - 1].is_consistent():
                 raise SchemeError(f"selected pair G{j} is inconsistent")
@@ -103,15 +81,7 @@ class PresentedPolyhedron:
 
     @cached_property
     def _selected_masks(self) -> tuple[tuple[int, int], ...]:
-        masks = []
-        for pair in self.scheme.selected_pairs():
-            m1 = m0 = 0
-            for i in pair.ones:
-                m1 |= 1 << (i - 1)
-            for i in pair.zeros:
-                m0 |= 1 << (i - 1)
-            masks.append((m1, m0))
-        return tuple(masks)
+        return tuple((p.ones_mask, p.zeros_mask) for p in self.scheme.selected_pairs())
 
     def member(self, x: Point) -> int:
         mask = self._layer.point_mask(x)
@@ -142,7 +112,7 @@ def _dnf_of_pairs(
 ) -> PresentedPolyhedron:
     """Presentation with the given pairs all selected, normalized."""
     n = len(halfspaces)
-    raw = Scheme(n, tuple(pairs), IndexSet.of(range(1, len(pairs) + 1), len(pairs)))
+    raw = Scheme(n, tuple(pairs), IndexSet.from_mask((1 << len(pairs)) - 1, len(pairs)))
     return PresentedPolyhedron(halfspaces, normalize_scheme(raw), mode)
 
 
@@ -163,11 +133,9 @@ def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPol
     _same_ground(a, b)
     n = len(a.halfspaces)
     merged = []
-    for ga in a.scheme.selected_pairs():
-        for gb in b.scheme.selected_pairs():
-            pair = IndexPair.of(
-                set(ga.ones) | set(gb.ones), set(ga.zeros) | set(gb.zeros), n
-            )
+    for ones, zeros in a._selected_masks:
+        for other_ones, other_zeros in b._selected_masks:
+            pair = IndexPair(ones | other_ones, zeros | other_zeros, n)
             if pair.is_consistent():
                 merged.append(pair)
     return _dnf_of_pairs(a.halfspaces, merged)
@@ -180,27 +148,23 @@ def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
     Each clause contributes one literal per choice; a merged pair that
     needs some index both plain and complemented is dropped.  With zero
     clauses the single empty choice yields the empty pair.  Partial
-    merges are deduplicated after every clause, which bounds the working
-    set by 3^n instead of the full product of clause sizes.  The pairs
-    come out unordered; every caller normalizes them.
+    merges are (ones, zeros) masks, deduplicated after every clause,
+    which bounds the working set by 3^n instead of the full product of
+    clause sizes.  The pairs come out unordered; every caller normalizes
+    them.
     """
-    partial = {(frozenset(), frozenset())}
+    partial = {(0, 0)}
     for clause in clauses:
-        literals = [(i, True) for i in clause.ones] + [
-            (i, False) for i in clause.zeros
-        ]
-        merged = set()
-        for ones, zeros in partial:
-            for i, plain in literals:
-                if plain:
-                    if i not in zeros:
-                        merged.add((ones | {i}, zeros))
-                elif i not in ones:
-                    merged.add((ones, zeros | {i}))
-        partial = merged
+        plain = [1 << i - 1 for i in clause.ones]
+        complemented = [1 << i - 1 for i in clause.zeros]
+        partial = {
+            (ones | bit, zeros) for ones, zeros in partial for bit in plain if not zeros & bit
+        } | {
+            (ones, zeros | bit) for ones, zeros in partial for bit in complemented if not ones & bit
+        }
         if not partial:
             break
-    return [IndexPair.of(ones, zeros, n) for ones, zeros in partial]
+    return [IndexPair(ones, zeros, n) for ones, zeros in partial]
 
 
 def cnf_to_dnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -267,5 +231,7 @@ def parse_bundle(text: str) -> PresentedPolyhedron:
         raise ParseError("missing MODE=DNF|CNF line")
     if not halfspaces:
         raise ParseError("bundle has no half-space lines")
-    scheme = parse_scheme_lines(raw[mode_lineno:], mode_lineno + 1)
+    scheme = parse_scheme_lines(
+        raw[mode_lineno:], mode_lineno + 1, lambda n: check_ground(n, len(halfspaces))
+    )
     return PresentedPolyhedron(tuple(halfspaces), scheme, mode)

@@ -20,7 +20,7 @@ from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
 from .feasibility import cell_is_empty, cell_witness
 from .forms import conj_unit, disj_unit
 from .geometry import HalfSpace, Point
-from .indexing import IndexPair, IndexSet, Scheme
+from .indexing import IndexPair, IndexSet, Scheme, check_ground, lex_key
 from .kernels import tail_accepted_set
 from .network import (
     BitVector,
@@ -63,15 +63,8 @@ class EquivalenceResult:
     counterexample_point: Optional[Point] = None
 
 
-def _selector_pair(scheme: Scheme) -> IndexPair:
-    return IndexPair(scheme.selector, IndexSet((), scheme.q))
-
-
-def _check_synthesizable(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> None:
-    if scheme.ambient != len(halfspaces):
-        raise SchemeError(
-            f"scheme over {scheme.ambient} pairs with {len(halfspaces)} half-spaces"
-        )
+def _synthesize(halfspaces, scheme, pair_unit, selector_unit) -> PerceptronNetwork:
+    check_ground(scheme.ambient, len(halfspaces))
     if scheme.selector.is_empty:
         raise SchemeError("empty selector")
     for k, pair in enumerate(scheme.pairs, 1):
@@ -79,6 +72,9 @@ def _check_synthesizable(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> Non
             raise SchemeError(f"pair G{k} is empty and has no unit form")
         if not pair.is_consistent():
             raise SchemeError(f"pair G{k} is inconsistent")
+    selector = selector_unit(IndexPair(scheme.selector.mask, 0, scheme.q))
+    units = (halfspaces, map(pair_unit, scheme.pairs), (selector,))
+    return PerceptronNetwork(tuple(map(layer_of, units)))
 
 
 def build_dnf_network(
@@ -86,14 +82,7 @@ def build_dnf_network(
 ) -> PerceptronNetwork:
     """3-layer network computing the union over the selector of the
     scheme's cells: half-spaces, then AND units, then one OR unit."""
-    _check_synthesizable(halfspaces, scheme)
-    return PerceptronNetwork(
-        (
-            layer_of(halfspaces),
-            layer_of(conj_unit(pair) for pair in scheme.pairs),
-            layer_of((disj_unit(_selector_pair(scheme)),)),
-        )
-    )
+    return _synthesize(halfspaces, scheme, conj_unit, disj_unit)
 
 
 def build_cnf_network(
@@ -101,25 +90,12 @@ def build_cnf_network(
 ) -> PerceptronNetwork:
     """Dual synthesis: OR units per pair, one AND unit over the selector,
     computing the intersection of the scheme's cocells."""
-    _check_synthesizable(halfspaces, scheme)
-    return PerceptronNetwork(
-        (
-            layer_of(halfspaces),
-            layer_of(disj_unit(pair) for pair in scheme.pairs),
-            layer_of((conj_unit(_selector_pair(scheme)),)),
-        )
-    )
+    return _synthesize(halfspaces, scheme, disj_unit, conj_unit)
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:
-    """Full index pair of the bit vector encoded by g (bit i-1 = bit i).
-
-    Both member lists come out ascending, so they go into their index
-    sets as they are, with no sort or dedup.
-    """
-    ones = tuple([i + 1 for i in range(n_bits) if g >> i & 1])
-    zeros = tuple([i + 1 for i in range(n_bits) if not g >> i & 1])
-    return IndexPair(IndexSet(ones, n_bits), IndexSet(zeros, n_bits))
+    """Full index pair of the bit vector encoded by g (bit i-1 = bit i)."""
+    return IndexPair(g, ~g & ((1 << n_bits) - 1), n_bits)
 
 
 def _require_single_output(network: PerceptronNetwork) -> None:
@@ -155,11 +131,10 @@ def extract_scheme(
     _require_single_output(network)
     n1 = network.layers[0].output_dim
     accepted = _accepted_indices(network, cap)
-    pairs = [pair_of_bits(g, n1) for g in accepted]
-    pairs.sort(key=IndexPair.sort_key)
-    scheme = Scheme(
-        n1, tuple(pairs), IndexSet.of(range(1, len(pairs) + 1), len(pairs))
-    )
+    # a full pair's zeros follow from its ones, so the ones alone order it
+    accepted.sort(key=lex_key)
+    pairs = tuple([pair_of_bits(g, n1) for g in accepted])
+    scheme = Scheme(n1, pairs, IndexSet.from_mask((1 << len(pairs)) - 1, len(pairs)))
     if prune:
         scheme = prune_empty_cells(network.layers[0].units, scheme)
     return ExtractionReport(
@@ -190,26 +165,25 @@ def normalize_three_layers(
     return build_dnf_network(network.layers[0].units, report.scheme)
 
 
+def _check_prune_ground(ambient: int, count: int) -> None:
+    if ambient != count:
+        raise PreconditionError(f"scheme over {ambient} with {count} half-spaces")
+
+
 def prune_empty_cells(
     halfspaces: Sequence[HalfSpace], scheme: Scheme
 ) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
-    if scheme.ambient != len(halfspaces):
-        raise PreconditionError(
-            f"scheme over {scheme.ambient} with {len(halfspaces)} half-spaces"
-        )
+    _check_prune_ground(scheme.ambient, len(halfspaces))
     keep: list[IndexPair] = []
-    selected: list[int] = []
-    chosen = set(scheme.selector.members)
-    for k, pair in enumerate(scheme.pairs, 1):
-        if k in chosen and cell_is_empty(halfspaces, pair):
+    selected = 0
+    for k, pair in enumerate(scheme.pairs):
+        chosen = scheme.selector.mask >> k & 1
+        if chosen and cell_is_empty(halfspaces, pair):
             continue
+        selected |= chosen << len(keep)
         keep.append(pair)
-        if k in chosen:
-            selected.append(len(keep))
-    return Scheme(
-        scheme.ambient, tuple(keep), IndexSet.of(selected, len(keep))
-    )
+    return Scheme(scheme.ambient, tuple(keep), IndexSet.from_mask(selected, len(keep)))
 
 
 def _random_point(rng: random.Random, dim: int) -> Point:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from polyperc import (
     IndexPair,
-    IndexSet,
     InequalityKind,
     InequalitySystem,
     Mode,
@@ -84,7 +83,7 @@ def consistent_nonempty_pairs(n):
         ones = tuple(i + 1 for i, s in enumerate(slots) if s == 1)
         zeros = tuple(i + 1 for i, s in enumerate(slots) if s == 2)
         if ones or zeros:
-            yield IndexPair(IndexSet(ones, n), IndexSet(zeros, n))
+            yield IndexPair.of(ones, zeros, n)
 
 
 def test_criterion_1_unit_truth_tables():

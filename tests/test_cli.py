@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,29 @@ def test_prune_ambient_mismatch_exit_3(files, capsys):
     )
     assert code == 3
     assert err == "error: scheme over 2 with 1 half-spaces\n"
+
+
+HUGE_SCHEME = "N=100000000000\nG1: ONES=99999999999 ZEROS=-\nJ=1\n"
+
+
+def test_huge_scheme_ambient_refused_before_any_mask(files, capsys):
+    # a mask holding index 99999999999 would take 12.5 GB; N= is checked
+    # against the one half-space first, so nothing near that is allocated
+    hs, scheme = files("h", "0 1 >\n"), files("s", HUGE_SCHEME)
+    bundle, points = files("b", "0 1 >\nMODE=DNF\n" + HUGE_SCHEME), files("p", "0\n")
+    mismatch = "scheme over 100000000000 pairs with 1 half-spaces"
+    tracemalloc.start()
+    try:
+        assert run(capsys, "synth", hs, scheme) == (4, "", f"error: {mismatch}\n")
+        assert run(capsys, "prune", hs, scheme) == (
+            3, "", "error: scheme over 100000000000 with 1 half-spaces\n"
+        )
+        assert run(capsys, "member", bundle, points) == (4, "", f"error: {mismatch}\n")
+        assert run(capsys, "algebra", "complement", bundle) == (4, "", f"error: {mismatch}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_feasible_golden(files, capsys):

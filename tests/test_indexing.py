@@ -14,6 +14,7 @@ from polyperc import (
     normalize_scheme,
     parse_scheme,
 )
+from polyperc.indexing import lex_key
 
 import randgen
 
@@ -142,8 +143,74 @@ def test_empty_selector_round_trip():
         "N=2\nG1: ONES=1 ZEROS=-\nJ=1\nextra\n",
         "N=2\nG1: ONES=3 ZEROS=-\nJ=1\n",
         "N=2\nG1: ONES=x ZEROS=-\nJ=1\n",
+        "N=2\nG1: ONES=2,1 ZEROS=-\nJ=1\n",
+        "N=2\nG1: ONES=1,1 ZEROS=-\nJ=1\n",
+        "N=2\nG1: ONES=0 ZEROS=-\nJ=1\n",
+        "N=2\nG1: ONES=- ZEROS=2,1\nJ=1\n",
+        "N=2\nG1: ONES=1 ZEROS=-\nG2: ONES=2 ZEROS=-\nJ=2,1\n",
+        "N=2\nG1: ONES=1 ZEROS=-\nJ=0\n",
     ],
 )
 def test_scheme_parse_rejects(text):
-    with pytest.raises(ParseError):
+    # unordered, repeated or zero indices would OR into a mask unnoticed
+    # and break the byte round trip, so they are refused with a line
+    with pytest.raises(ParseError) as info:
         parse_scheme(text)
+    assert info.value.line is not None
+
+
+def tuple_order(pairs):
+    return sorted(pairs, key=lambda p: (p.ones.members, p.zeros.members))
+
+
+def test_normalize_order_is_member_tuple_order():
+    rng = random.Random(11)
+    for n in range(6):
+        pairs = [IndexPair(ones, zeros, n) for ones in range(1 << n) for zeros in range(1 << n)]
+        rng.shuffle(pairs)
+        raw = Scheme(n, tuple(pairs), IndexSet.of(range(1, len(pairs) + 1), len(pairs)))
+        assert list(normalize_scheme(raw).pairs) == tuple_order(pairs)
+
+
+def test_extraction_key_is_member_tuple_order():
+    # extract_scheme sorts full pairs by lex_key of their ones mask alone
+    for n in range(11):
+        masks = list(range(1 << n))
+        expected = sorted(masks, key=lambda g: IndexSet.from_mask(g, n).members)
+        assert sorted(masks, key=lex_key) == expected
+
+
+@strat.composite
+def members_over(draw):
+    n = draw(strat.integers(0, 70))
+    return n, tuple(sorted(draw(strat.sets(strat.integers(1, max(n, 1)))) if n else ()))
+
+
+@hypothesis.given(members_over())
+def test_index_set_mask_agrees_with_members(case):
+    n, members = case
+    s = IndexSet(members, n)
+    assert s.mask == sum(1 << (i - 1) for i in members)
+    assert s.members == tuple(s) == members
+    assert s.size == len(members) and s.is_empty == (not members)
+    for i in range(-1, n + 2):
+        assert (i in s) == (i in members)
+    assert s == IndexSet.from_mask(s.mask, n) == IndexSet.of(reversed(members), n)
+
+
+@strat.composite
+def schemes(draw):
+    """Any scheme the format can hold: empty, inconsistent and repeated
+    pairs, over ambients past one machine word."""
+    n = draw(strat.integers(1, 70))
+    q = draw(strat.integers(0, 6))
+    masks = strat.integers(0, (1 << n) - 1)
+    pairs = tuple(IndexPair(draw(masks), draw(masks), n) for _ in range(q))
+    return Scheme(n, pairs, IndexSet.from_mask(draw(strat.integers(0, (1 << q) - 1)), q))
+
+
+@hypothesis.given(schemes())
+def test_scheme_round_trip_is_byte_identical(s):
+    text = format_scheme(s)
+    assert parse_scheme(text) == s
+    assert format_scheme(parse_scheme(text)) == text

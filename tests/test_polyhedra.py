@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
@@ -280,6 +282,26 @@ def test_operand_checks(ground):
 
 def test_bundle_round_trip(ground):
     k = dnf(ground, [IndexPair.of([1], [2], 2)])
+    text = format_bundle(k)
+    assert parse_bundle(text) == k
+    assert format_bundle(parse_bundle(text)) == text
+
+
+@strat.composite
+def bundles(draw):
+    """Presentations in either mode over 1 to 12 seeded half-spaces, with
+    repeated and empty pairs; only the selected pairs are consistent."""
+    rng = random.Random(draw(strat.integers(0, 2**32)))
+    n, m = draw(strat.integers(1, 12)), draw(strat.integers(1, 3))
+    masks = strat.integers(0, (1 << n) - 1)
+    pairs = tuple(IndexPair(draw(masks), draw(masks), n) for _ in range(draw(strat.integers(0, 6))))
+    chosen = [j for j, p in enumerate(pairs, 1) if p.is_consistent() and draw(strat.booleans())]
+    scheme = Scheme(n, pairs, IndexSet.of(chosen, len(pairs)))
+    return PresentedPolyhedron(randgen.halfspaces(rng, n, m), scheme, draw(strat.sampled_from(Mode)))
+
+
+@hypothesis.given(bundles())
+def test_bundle_round_trip_is_byte_identical(k):
     text = format_bundle(k)
     assert parse_bundle(text) == k
     assert format_bundle(parse_bundle(text)) == text
