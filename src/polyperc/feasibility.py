@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point
@@ -151,25 +152,57 @@ def _eliminate(
     return True, stages
 
 
-def _triples_of(system: InequalitySystem) -> list[_Triple]:
-    return [
-        (kind is InequalityKind.STRICT, *form.lowered())
-        for form, kind in system.constraints
-    ]
+def _rows(constraints: Iterable[Constraint]) -> list[_Triple]:
+    return [(kind is InequalityKind.STRICT, *form.lowered()) for form, kind in constraints]
+
+
+def _holds(row: _Triple, den: int, coords: Sequence[int]) -> bool:
+    """Whether the point ``coords / den`` (``den > 0``) satisfies the row."""
+    strict, bias, coeffs = row
+    value = bias * den + sum(map(mul, coeffs, coords))
+    return value > 0 if strict else value >= 0
 
 
 def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> bool:
     if system.dimension is None:
         return True
-    feasible, _ = _eliminate(_triples_of(system), system.dimension, cap)
+    feasible, _ = _eliminate(_rows(system.constraints), system.dimension, cap)
     return feasible
 
 
-def _bound_value(bound: _Bound, point: list[Fraction]) -> Fraction:
-    _, bias, head, pivot = bound
-    # a Fraction start keeps the quotient exact for an empty prefix point
-    rest = sum((w * p for w, p in zip(head, point) if w), Fraction(bias))
-    return -rest / pivot
+def _tightest(bounds: list[_Bound], den: int, coords: list[int], pick) -> tuple:
+    """``pick`` of the bounds at ``coords / den``, or None, and whether a strict one attains it."""
+    values = [
+        (Fraction(-(bias * den + sum(map(mul, head, coords))), pivot * den), strict)
+        for strict, bias, head, pivot in bounds
+    ]
+    best = pick((value for value, _ in values), default=None)
+    return best, any(strict for value, strict in values if value == best)
+
+
+def _solve(rows: list[_Triple], dimension: int, cap: int) -> Optional[tuple[int, list[int]]]:
+    """A point of the rows as a positive common denominator and integer
+    coordinates, or None when there is none."""
+    feasible, stages = _eliminate(rows, dimension, cap)
+    if not feasible:
+        return None
+    den, coords = 1, []
+    for lowers, uppers in reversed(stages):
+        lo, lo_strict = _tightest(lowers, den, coords, max)
+        hi, hi_strict = _tightest(uppers, den, coords, min)
+        if lo is not None and hi is not None:
+            # elimination already rejected a strict boundary clash at lo == hi
+            coordinate = lo if lo == hi else (lo + hi) / 2
+        elif lo is not None:
+            coordinate = lo + 1 if lo_strict else lo
+        elif hi is not None:
+            coordinate = hi - 1 if hi_strict else hi
+        else:
+            coordinate = Fraction(0)
+        scale = coordinate.denominator // math.gcd(den, coordinate.denominator)
+        den, coords = den * scale, [c * scale for c in coords]
+        coords.append(coordinate.numerator * (den // coordinate.denominator))
+    return den, coords
 
 
 def witness(
@@ -185,42 +218,13 @@ def witness(
     dimension = system.dimension
     if dimension is None:
         return tuple(Fraction(0) for _ in range(dim)) if dim else ()
-    feasible, stages = _eliminate(_triples_of(system), dimension, cap)
-    if not feasible:
+    rows = _rows(system.constraints)
+    point = _solve(rows, dimension, cap)
+    if point is None:
         return None
-    point: list[Fraction] = []
-    for t in range(dimension - 1, -1, -1):
-        lowers, uppers = stages[t]
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for bound in lowers:
-            value = _bound_value(bound, point)
-            if lo is None or value > lo:
-                lo, lo_strict = value, bound[0]
-            elif value == lo:
-                lo_strict = lo_strict or bound[0]
-        for bound in uppers:
-            value = _bound_value(bound, point)
-            if hi is None or value < hi:
-                hi, hi_strict = value, bound[0]
-            elif value == hi:
-                hi_strict = hi_strict or bound[0]
-        if lo is not None and hi is not None:
-            if lo == hi:
-                # elimination already rejected a strict boundary clash
-                coordinate = lo
-            else:
-                coordinate = (lo + hi) / 2
-        elif lo is not None:
-            coordinate = lo + 1 if lo_strict else lo
-        elif hi is not None:
-            coordinate = hi - 1 if hi_strict else hi
-        else:
-            coordinate = Fraction(0)
-        point.append(coordinate)
-    result = tuple(point)
-    assert system.satisfies(result)
-    return result
+    den, coords = point
+    assert all(_holds(row, den, coords) for row in rows)
+    return tuple(Fraction(c, den) for c in coords)
 
 
 def cell_is_empty(

@@ -1,5 +1,6 @@
 import importlib.metadata
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,18 @@ from pathlib import Path
 import pytest
 
 import polyperc
-from polyperc import format_network, parse_network
+from polyperc import (
+    Mode,
+    PresentedPolyhedron,
+    format_bundle,
+    format_halfspace,
+    format_network,
+    format_scheme,
+    parse_network,
+)
 from polyperc.cli import console_main
+
+import randgen
 
 try:
     import tomllib
@@ -463,3 +474,42 @@ def test_import_loads_no_numpy_or_cython():
     where, heavy = proc.stdout.splitlines()
     assert Path(where).resolve() == Path(polyperc.__file__).resolve()
     assert heavy == ""
+
+
+def boundary_point(rng, halfspace):
+    """A random point on the half-space's hyperplane."""
+    x = list(randgen.point(rng, halfspace.dimension))
+    weights = halfspace.form.weights
+    j = next(j for j, w in enumerate(weights) if w)
+    x[j] = 0
+    x[j] = -halfspace.form.evaluate(x) / weights[j]
+    return tuple(x)
+
+
+def test_member_agrees_with_synthesized_and_extracted(files, capsys):
+    # CLI member on a bundle, forward on the network synth builds from it,
+    # and CLI member on what extract --prune reads back must all agree
+    rng = random.Random(1207)
+    for k in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 6)
+        hs = randgen.halfspaces(rng, n, m)
+        scheme = randgen.scheme(rng, n, max_pairs=5)
+        points = [randgen.point(rng, m) for _ in range(8)]
+        points += [boundary_point(rng, h) for h in rng.sample(hs, min(n, 4))]
+        points_file = files(f"p{k}", "".join(" ".join(map(str, x)) + "\n" for x in points))
+        hs_file = files(f"h{k}", "".join(format_halfspace(h) + "\n" for h in hs))
+        scheme_file = files(f"s{k}", format_scheme(scheme))
+        for mode in (Mode.DNF, Mode.CNF):
+            bundle = files(f"b{k}", format_bundle(PresentedPolyhedron(hs, scheme, mode)))
+            code, out, _ = run(capsys, "member", bundle, points_file)
+            assert code == 0
+            code, net_text, _ = run(capsys, "synth", hs_file, scheme_file, "--mode", mode.name.lower())
+            assert code == 0
+            net = parse_network(net_text)
+            assert out == "".join(f"{net.forward(x)[0]}\n" for x in points)
+            code, extracted, _ = run(
+                capsys, "extract", files(f"n{k}", net_text), "--prune", "--permissive-constants"
+            )
+            assert code == 0
+            code, again, _ = run(capsys, "member", files(f"e{k}", extracted), points_file)
+            assert (code, again) == (0, out)
