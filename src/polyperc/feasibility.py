@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point
-from .indexing import IndexPair
+from .indexing import IndexPair, _members
 
 DEFAULT_CONSTRAINT_CAP = 2000
 
@@ -157,17 +157,15 @@ def _rows(constraints: Iterable[Constraint]) -> list[_Triple]:
 
 
 def _holds(row: _Triple, den: int, coords: Sequence[int]) -> bool:
-    """Whether the point ``coords / den`` (``den > 0``) satisfies the row."""
+    """Whether the point ``coords / den`` (``den > 0``, absent coordinates 0) satisfies the row."""
     strict, bias, coeffs = row
     value = bias * den + sum(map(mul, coeffs, coords))
     return value > 0 if strict else value >= 0
 
 
 def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> bool:
-    if system.dimension is None:
-        return True
-    feasible, _ = _eliminate(_rows(system.constraints), system.dimension, cap)
-    return feasible
+    dimension = system.dimension
+    return dimension is None or _eliminate(_rows(system.constraints), dimension, cap)[0]
 
 
 def _tightest(bounds: list[_Bound], den: int, coords: list[int], pick) -> tuple:
@@ -242,3 +240,58 @@ def cell_witness(
 ) -> Optional[Point]:
     dim = halfspaces[0].form.dimension if halfspaces else None
     return witness(system_of_cell(halfspaces, pair), cap, dim=dim)
+
+
+def _realizable(
+    halfspaces: Sequence[HalfSpace], pairs: Sequence[tuple[int, int, int]], first: bool = False
+) -> set[int]:
+    """Keys of the ``(key, ones, zeros)`` mask triples with nonempty cells.
+
+    One depth-first walk splits a group on the highest half-space its pairs
+    mention: pairs that skip it, complement it, take it, in that order.  A
+    child keeps its group's prefix point if it holds there; an empty child
+    cuts its pairs.  A lone pair, or each pair of a group whose prefix
+    meets the cap, takes one elimination of its own cell.  ``first`` stops
+    at the first nonempty cell: among full pairs in ascending order, the
+    smallest.
+    """
+    dims = {h.dimension for h in halfspaces}
+    spans = [sum(1 << i for i, h in enumerate(halfspaces) if h.dimension == d) for d in dims]
+    if len(spans) > 1 and any(sum(bool((o | z) & span) for span in spans) > 1 for _, o, z in pairs):
+        raise DimensionError("mixed constraint dimensions")
+    rows = _rows((h.form, h.kind) for h in halfspaces)
+    flipped = _rows((c.form, c.kind) for c in map(HalfSpace.complement, halfspaces))
+    found: set[int] = set()
+    # (1, ()) is the origin in any dimension; a pair taking a half-space both ways is empty
+    stack = [([], (1, ()), [], [entry for entry in pairs if not entry[1] & entry[2]])]
+    while stack and not (first and found):
+        system, point, extra, group = stack.pop()
+        if len(group) == 1:
+            key, ones, zeros = group[0]
+            pending = extra + [rows[i - 1] for i in _members(ones)]
+            pending += [flipped[i - 1] for i in _members(zeros)]
+            held = all(_holds(row, *point) for row in pending)
+            if held or _eliminate(system + pending, len(pending[0][2]), DEFAULT_CONSTRAINT_CAP)[0]:
+                found.add(key)
+            continue
+        if not all(_holds(row, *point) for row in extra):
+            try:
+                point = _solve(system + extra, len(extra[0][2]), DEFAULT_CONSTRAINT_CAP)
+            except SizeCapError:  # a full cell may end on a contradiction before the cap
+                stack += [(system, point, extra, [entry]) for entry in reversed(group)]
+                continue
+            if point is None:
+                continue
+        system = system + extra
+        found.update(key for key, ones, zeros in group if not ones | zeros)
+        rest = [entry for entry in group if entry[1] | entry[2]]
+        if rest:
+            i = max(ones | zeros for _, ones, zeros in rest).bit_length() - 1
+            bit = 1 << i
+            children = (
+                ([rows[i]], [(k, o ^ bit, z) for k, o, z in rest if o & bit]),
+                ([flipped[i]], [(k, o, z ^ bit) for k, o, z in rest if z & bit]),
+                ([], [(k, o, z) for k, o, z in rest if not (o | z) & bit]),
+            )
+            stack += [(system, point, extra, child) for extra, child in children if child]
+    return found

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
-from .feasibility import DEFAULT_CONSTRAINT_CAP, _eliminate, _holds, _rows, _solve, cell_witness
+from .feasibility import _realizable, cell_witness
 from .forms import conj_unit, disj_unit
 from .geometry import HalfSpace, Point
-from .indexing import IndexPair, IndexSet, Scheme, _members, check_ground, lex_key
+from .indexing import IndexPair, IndexSet, Scheme, check_ground, lex_key
 from .kernels import tail_accepted_set
 from .network import (
     BitVector,
@@ -170,65 +170,14 @@ def _check_prune_ground(ambient: int, count: int) -> None:
         raise PreconditionError(f"scheme over {ambient} with {count} half-spaces")
 
 
-def _realizable(
-    halfspaces: Sequence[HalfSpace], pairs: Sequence[tuple[int, int, int]]
-) -> set[int]:
-    """Keys of the ``(key, ones mask, zeros mask)`` pairs with nonempty
-    cells, by one depth-first search over the half-spaces in order.
-
-    A group splits on the next half-space its pairs mention into pairs
-    taking it as-is, complemented or not at all.  A group keeps a point
-    of its prefix cell that a child inherits if it holds there; an empty
-    child cuts its pairs; a lone pair takes one elimination of its cell.
-    """
-    rows = _rows((h.form, h.kind) for h in halfspaces)
-    flipped = _rows((c.form, c.kind) for c in map(HalfSpace.complement, halfspaces))
-    dim = halfspaces[0].dimension if halfspaces else 0
-    cap = DEFAULT_CONSTRAINT_CAP
-    found: set[int] = set()
-
-    def decide(system, point, pending, key, ones, zeros):
-        pending = pending + [rows[i - 1] for i in _members(ones)]
-        pending += [flipped[i - 1] for i in _members(zeros)]
-        if all(_holds(row, *point) for row in pending) or _eliminate(system + pending, dim, cap)[0]:
-            found.add(key)
-
-    # a pair that takes a half-space both ways is empty
-    stack = [([], (1, (0,) * dim), [entry for entry in pairs if not entry[1] & entry[2]])]
-    while stack:
-        system, point, group = stack.pop()
-        found.update(key for key, ones, zeros in group if not ones | zeros)
-        rest = [entry for entry in group if entry[1] | entry[2]]
-        if not rest:
-            continue
-        low = min((ones | zeros) & -(ones | zeros) for _, ones, zeros in rest)
-        i = low.bit_length() - 1
-        for extra, child in (
-            ([], [entry for entry in rest if not (entry[1] | entry[2]) & low]),
-            ([rows[i]], [(key, ones ^ low, zeros) for key, ones, zeros in rest if ones & low]),
-            ([flipped[i]], [(key, ones, zeros ^ low) for key, ones, zeros in rest if zeros & low]),
-        ):
-            if len(child) == 1:
-                decide(system, point, extra, *child[0])
-            elif child:
-                grown, held = system + extra, point
-                if not all(_holds(row, *point) for row in extra):
-                    held = _solve(grown, dim, cap)
-                if held is not None:
-                    stack.append((grown, held, child))
-    return found
-
-
 def prune_empty_cells(
     halfspaces: Sequence[HalfSpace], scheme: Scheme
 ) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
     _check_prune_ground(scheme.ambient, len(halfspaces))
     chosen = scheme.selector.mask
-    realizable = _realizable(
-        halfspaces,
-        [(k, p.ones_mask, p.zeros_mask) for k, p in enumerate(scheme.pairs) if chosen >> k & 1],
-    )
+    pairs = [(k, p.ones_mask, p.zeros_mask) for k, p in enumerate(scheme.pairs) if chosen >> k & 1]
+    realizable = _realizable(halfspaces, pairs)
     keep: list[IndexPair] = []
     selected = 0
     for k, pair in enumerate(scheme.pairs):
@@ -259,9 +208,8 @@ def check_equivalence(
     Exact mode requires identical first layers: the tails are compared
     on every first-layer bit vector, and a disagreement only counts when
     some point actually realizes it (its cell over the shared first
-    layer is nonempty).  The smallest realized disagreement is reported
-    with the witness point of its cell.  Sampled mode just compares
-    forwards on a seeded batch of rational points.
+    layer is nonempty); the witness point comes from that cell.  Sampled
+    mode just compares forwards on a seeded batch of rational points.
     """
     _require_single_output(left)
     _require_single_output(right)
@@ -294,9 +242,8 @@ def check_equivalence(
     halfspaces = left.layers[0].units
     checked = 1 << n1
     full = (1 << n1) - 1
-    realizable = _realizable(halfspaces, [(g, g, full ^ g) for g in accepted_left ^ accepted_right])
-    if realizable:
-        g = min(realizable)
+    differing = [(g, g, full ^ g) for g in sorted(accepted_left ^ accepted_right)]
+    for g in _realizable(halfspaces, differing, first=True):
         return EquivalenceResult(
             equivalent=False,
             mode=mode,

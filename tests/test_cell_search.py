@@ -12,12 +12,15 @@ per-pair prune loop, and must not move.
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as strat
+import pytest
 
 import polyperc.feasibility as feasibility
 from polyperc import (
+    DimensionError,
     HalfSpace,
     IndexPair,
     IndexSet,
@@ -26,6 +29,7 @@ from polyperc import (
     PerceptronLayer,
     PerceptronNetwork,
     Scheme,
+    SizeCapError,
     cell_is_empty,
     cell_witness,
     check_equivalence,
@@ -149,12 +153,12 @@ def test_cli_equiv_and_feasible_pinned(tmp_path, capsys):
     assert sha256_of_repr(cli_texts(tmp_path, capsys, pairs, systems)) == CLI_DIGEST
 
 
-def pruned_pair_by_pair(halfspaces, scheme):
+def pruned_pair_by_pair(halfspaces, scheme, cap=feasibility.DEFAULT_CONSTRAINT_CAP):
     """The reference: one ``cell_is_empty`` per selected pair."""
     keep, selected = [], []
     for k, pair in enumerate(scheme.pairs, 1):
         chosen = k in scheme.selector
-        if chosen and cell_is_empty(halfspaces, pair):
+        if chosen and cell_is_empty(halfspaces, pair, cap):
             continue
         keep.append(pair)
         if chosen:
@@ -196,6 +200,62 @@ def test_search_decides_as_each_pair_alone(case):
     assert prune_empty_cells(halfspaces, scheme) == pruned_pair_by_pair(halfspaces, scheme)
 
 
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(arrangements_with_schemes(), strat.integers(1, 6))
+def test_search_meets_the_cap_only_where_a_lone_cell_does(case, cap):
+    # a prefix may meet a small cap where its full cell ends early on a
+    # contradiction; the search then decides those pairs one at a time
+    halfspaces, scheme = case
+    try:
+        alone = pruned_pair_by_pair(halfspaces, scheme, cap)
+    except SizeCapError:
+        return
+    with mock.patch.object(feasibility, "DEFAULT_CONSTRAINT_CAP", cap):
+        assert prune_empty_cells(halfspaces, scheme) == alone
+
+
+def test_prefix_over_the_cap_falls_back_to_each_cell(monkeypatch):
+    # rows 4..9 hold x3 between three lower and three upper bounds whose
+    # nine combinations exceed a cap of 8; rows 1 and 2 ask x4 >= 1 and
+    # x4 <= 0, so each full cell ends on that contradiction first
+    def lax(bias, *weights):
+        form = LinearForm(Fraction(bias), tuple(map(Fraction, weights)))
+        return HalfSpace(form, InequalityKind.LAX)
+
+    hs = (
+        lax(-1, 0, 0, 0, 1), lax(0, 0, 0, 0, -1), lax(0, 1, 0, 0, 0),
+        lax(-1, 1, 0, 1, 0), lax(0, 0, 2, 1, 0), lax(0, 3, 5, 1, 0),
+        lax(0, 0, 0, -1, 0), lax(0, 1, 3, -1, 0), lax(0, -2, 1, -1, 0),
+    )
+    pairs = (IndexPair(0b111111111, 0, 9), IndexPair(0b111111011, 0b100, 9))
+    with pytest.raises(SizeCapError):
+        cell_is_empty(hs, IndexPair(0b111111000, 0, 9), cap=8)
+    assert all(cell_is_empty(hs, pair, cap=8) for pair in pairs)
+    monkeypatch.setattr(feasibility, "DEFAULT_CONSTRAINT_CAP", 8)
+    assert prune_empty_cells(hs, Scheme(9, pairs, IndexSet.of([1, 2], 2))).q == 0
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(arrangements_with_schemes(), strat.integers(1, 6), strat.data())
+def test_first_search_finds_the_smallest_realizable_full_pair(case, cap, data):
+    # the reference tries full pairs in key order up to the first with a
+    # witness; the search must give its answer wherever that loop does
+    halfspaces, _ = case
+    n = len(halfspaces)
+    keys = sorted(data.draw(strat.sets(strat.integers(0, (1 << n) - 1))))
+    smallest = set()
+    try:
+        for g in keys:
+            if cell_witness(halfspaces, full_pair(g, n), cap) is not None:
+                smallest = {g}
+                break
+    except SizeCapError:
+        return
+    entries = [(g, g, full_pair(g, n).zeros_mask) for g in keys]
+    with mock.patch.object(feasibility, "DEFAULT_CONSTRAINT_CAP", cap):
+        assert feasibility._realizable(halfspaces, entries, first=True) == smallest
+
+
 def test_prune_over_thousands_of_halfspaces():
     rng = random.Random(1204)
     n = 5000
@@ -213,6 +273,19 @@ def test_prune_over_thousands_of_halfspaces():
     assert prune_empty_cells(origin, deep) == deep
 
 
+def test_prune_keeps_each_pair_to_its_dimension():
+    # half-spaces 1-4 live on a line, 5-8 in space; a selected pair may
+    # use either group but not both
+    rng = random.Random(1207)
+    hs = randgen.halfspaces(rng, 4, 1) + randgen.halfspaces(rng, 4, 3)
+    pairs = [IndexPair(g << shift, (15 ^ g) << shift, 8) for shift in (0, 4) for g in range(16)]
+    scheme = Scheme(8, tuple(pairs), IndexSet.of(range(1, 33), 32))
+    assert prune_empty_cells(hs, scheme) == pruned_pair_by_pair(hs, scheme)
+    mixed = Scheme(8, (IndexPair.of([1], [], 8), IndexPair.of([2], [5], 8)), IndexSet.of([1, 2], 2))
+    with pytest.raises(DimensionError, match="mixed constraint dimensions"):
+        prune_empty_cells(hs, mixed)
+
+
 def counted_eliminations(monkeypatch, run):
     calls = []
     eliminate = feasibility._eliminate
@@ -221,8 +294,7 @@ def counted_eliminations(monkeypatch, run):
         calls.append(1)
         return eliminate(*args)
 
-    for module in ("polyperc.feasibility", "polyperc.transform"):
-        monkeypatch.setattr(f"{module}._eliminate", counting)
+    monkeypatch.setattr(feasibility, "_eliminate", counting)
     result = run()
     monkeypatch.undo()
     return result, len(calls)
@@ -246,7 +318,7 @@ def full_scheme(n):
 
 
 def test_full_schemes_take_one_elimination_per_prefix_cell(monkeypatch):
-    # each realizable cell of the first d < n half-spaces splits once, and
+    # each realizable cell of the last d < n half-spaces splits once, and
     # only the child that misses its point eliminates
     rng = random.Random(1206)
     counts = {}
@@ -255,11 +327,11 @@ def test_full_schemes_take_one_elimination_per_prefix_cell(monkeypatch):
         scheme = full_scheme(n)
         searched, count = counted_eliminations(monkeypatch, lambda: prune_empty_cells(hs, scheme))
         alone, per_pair = counted_eliminations(monkeypatch, lambda: pruned_pair_by_pair(hs, scheme))
-        prefix_cells = sum(prune_empty_cells(hs[:d], full_scheme(d)).q for d in range(1, n)) + 1
+        prefix_cells = sum(prune_empty_cells(hs[-d:], full_scheme(d)).q for d in range(1, n)) + 1
         assert searched == alone
         assert per_pair == 1 << n
         assert count <= prefix_cells
         counts[m, n] = count
-    # 168 of 1024 here; (3, 8) in general position takes 162 of 256
+    # 170 of 1024 here; (3, 8) in general position takes 162 of 256
     assert 2 * counts[2, 10] <= 1 << 10
     assert counts[3, 8] < 1 << 8

@@ -280,6 +280,18 @@ def test_prune_ambient_mismatch_exit_3(files, capsys):
     assert err == "error: scheme over 2 with 1 half-spaces\n"
 
 
+def test_prune_mixed_dimensions_exit_3(files, capsys):
+    # a selected pair over a 1-D and a 2-D half-space is refused, in
+    # either order; selected pairs that keep to one dimension are pruned
+    mixed = files("s", "N=2\nG1: ONES=1,2 ZEROS=-\nJ=1\n")
+    apart = "N=2\nG1: ONES=1 ZEROS=-\nG2: ONES=- ZEROS=2\nG3: ONES=1,2 ZEROS=-\nJ=1,2\n"
+    for hs in ("0 1 >=\n0 1 1 >=\n", "0 1 1 >=\n0 1 >=\n"):
+        assert run(capsys, "prune", files("h", hs), mixed) == (
+            3, "", "error: mixed constraint dimensions\n"
+        )
+        assert run(capsys, "prune", files("h", hs), files("a", apart)) == (0, apart, "")
+
+
 HUGE_SCHEME = "N=100000000000\nG1: ONES=99999999999 ZEROS=-\nJ=1\n"
 
 
