@@ -14,6 +14,7 @@ file via --out), and signals its outcome through the exit code:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -209,6 +210,7 @@ def _cmd_feasible(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyperc",

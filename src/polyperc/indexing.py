@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError
 
@@ -170,18 +170,27 @@ class Scheme:
         return tuple(self.pairs[j - 1] for j in self.selector)
 
 
+def _sorted_pairs(
+    ambient: int, masks: Iterable[tuple[int, int]], selected: Container[tuple[int, int]]
+) -> Scheme:
+    """Scheme of the distinct (ones, zeros) masks in pair order, selecting
+    those in ``selected``.  Each distinct mask is keyed once."""
+    masks = set(masks)
+    key = {mask: lex_key(mask) for mask in set().union(*masks)}
+    ordered = sorted(masks, key=lambda p: (key[p[0]], key[p[1]]))
+    chosen = [k for k, pair in enumerate(ordered, 1) if pair in selected]
+    pairs = tuple(IndexPair(ones, zeros, ambient) for ones, zeros in ordered)
+    return Scheme(ambient, pairs, IndexSet(chosen, len(pairs)))
+
+
 def normalize_scheme(scheme: Scheme) -> Scheme:
     """Sort pairs, merge duplicates, and re-index the selector.
 
     A merged pair is selected when any of its original copies was, which
     leaves both the DNF union and the CNF intersection unchanged.
     """
-    ordered = sorted(
-        dict.fromkeys(scheme.pairs), key=lambda p: (lex_key(p.ones_mask), lex_key(p.zeros_mask))
-    )
-    position = {pair: k for k, pair in enumerate(ordered, 1)}
-    selected = {position[scheme.pairs[j - 1]] for j in scheme.selector}
-    return Scheme(scheme.ambient, tuple(ordered), IndexSet.of(selected, len(ordered)))
+    masks = [(p.ones_mask, p.zeros_mask) for p in scheme.pairs]
+    return _sorted_pairs(scheme.ambient, masks, {masks[j - 1] for j in scheme.selector})
 
 
 def _format_members(mask: int) -> str:
@@ -201,9 +210,11 @@ _PAIR_LINE = re.compile(r"^G(\d+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 
 
 def format_scheme(scheme: Scheme) -> str:
+    masks = {mask for pair in scheme.pairs for mask in (pair.ones_mask, pair.zeros_mask)}
+    text = {mask: _format_members(mask) for mask in masks}
     lines = [f"N={scheme.ambient}"]
     for k, pair in enumerate(scheme.pairs, 1):
-        lines.append(f"G{k}: ONES={_format_members(pair.ones_mask)} ZEROS={_format_members(pair.zeros_mask)}")
+        lines.append(f"G{k}: ONES={text[pair.ones_mask]} ZEROS={text[pair.zeros_mask]}")
     lines.append(f"J={_format_members(scheme.selector.mask)}")
     return "\n".join(lines) + "\n"
 
@@ -232,25 +243,31 @@ def parse_scheme_lines(
     if ambient < 1:
         raise ParseError("scheme ambient must be positive", lineno)
 
-    members: list[tuple[tuple[int, ...], ...]] = []
+    texts: list[tuple[str, str]] = []
+    # each distinct index list is checked at its first line only
+    members: dict[str, tuple[int, ...]] = {}
     selector: tuple[int, ...] | None = None
     for row, (lineno, line) in enumerate(rows[1:], 1):
         if line.startswith("J="):
-            selector = _parse_members(line[2:], len(members), lineno)
+            selector = _parse_members(line[2:], len(texts), lineno)
             if row < len(rows) - 1:
                 raise ParseError("unexpected content after J= line", rows[row + 1][0])
             break
         match = _PAIR_LINE.match(line)
         if not match:
             raise ParseError(f"bad scheme line {line!r}", lineno)
-        if int(match.group(1)) != len(members) + 1:
+        if int(match.group(1)) != len(texts) + 1:
             raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
-        members.append(tuple(_parse_members(text, ambient, lineno) for text in match.group(2, 3)))
+        texts.append(match.group(2, 3))
+        for text in texts[-1]:
+            if text not in members:
+                members[text] = _parse_members(text, ambient, lineno)
     if selector is None:
         raise ParseError("scheme block has no J= line", rows[-1][0])
     if check_ambient is not None:
         check_ambient(ambient)
-    pairs = tuple(IndexPair(_mask_of(ones), _mask_of(zeros), ambient) for ones, zeros in members)
+    mask = {text: _mask_of(indices) for text, indices in members.items()}
+    pairs = tuple(IndexPair(mask[ones], mask[zeros], ambient) for ones, zeros in texts)
     return Scheme(ambient, pairs, IndexSet.from_mask(_mask_of(selector), len(pairs)))
 
 

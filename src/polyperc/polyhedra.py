@@ -21,9 +21,10 @@ from .indexing import (
     IndexPair,
     IndexSet,
     Scheme,
+    _members,
+    _sorted_pairs,
     check_ground,
     format_scheme,
-    normalize_scheme,
     parse_scheme_lines,
 )
 from .network import PerceptronLayer
@@ -61,8 +62,8 @@ class PresentedPolyhedron:
         if len(dims) != 1:
             raise DimensionError("half-spaces of mixed dimension")
         check_ground(self.scheme.ambient, len(self.halfspaces))
-        for j in self.scheme.selector:
-            if not self.scheme.pairs[j - 1].is_consistent():
+        for j, pair in zip(self.scheme.selector, self.scheme.selected_pairs()):
+            if pair.ones_mask & pair.zeros_mask:
                 raise SchemeError(f"selected pair G{j} is inconsistent")
 
     @property
@@ -108,12 +109,10 @@ def _require_dnf(k: PresentedPolyhedron, op: str) -> None:
 
 
 def _dnf_of_pairs(
-    halfspaces: tuple[HalfSpace, ...], pairs: Sequence[IndexPair], mode: Mode = Mode.DNF
+    halfspaces: tuple[HalfSpace, ...], masks: set[tuple[int, int]], mode: Mode = Mode.DNF
 ) -> PresentedPolyhedron:
-    """Presentation with the given pairs all selected, normalized."""
-    n = len(halfspaces)
-    raw = Scheme(n, tuple(pairs), IndexSet.from_mask((1 << len(pairs)) - 1, len(pairs)))
-    return PresentedPolyhedron(halfspaces, normalize_scheme(raw), mode)
+    """Presentation with the given (ones, zeros) masks all selected, normalized."""
+    return PresentedPolyhedron(halfspaces, _sorted_pairs(len(halfspaces), masks, masks), mode)
 
 
 def union(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -121,8 +120,7 @@ def union(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron
     _require_dnf(a, "union")
     _require_dnf(b, "union")
     _same_ground(a, b)
-    pairs = a.scheme.selected_pairs() + b.scheme.selected_pairs()
-    return _dnf_of_pairs(a.halfspaces, pairs)
+    return _dnf_of_pairs(a.halfspaces, {*a._selected_masks, *b._selected_masks})
 
 
 def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -131,17 +129,16 @@ def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPol
     _require_dnf(a, "intersection")
     _require_dnf(b, "intersection")
     _same_ground(a, b)
-    n = len(a.halfspaces)
-    merged = []
-    for ones, zeros in a._selected_masks:
-        for other_ones, other_zeros in b._selected_masks:
-            pair = IndexPair(ones | other_ones, zeros | other_zeros, n)
-            if pair.is_consistent():
-                merged.append(pair)
+    merged = {
+        (ones | other_ones, zeros | other_zeros)
+        for ones, zeros in a._selected_masks
+        for other_ones, other_zeros in b._selected_masks
+        if not (ones | other_ones) & (zeros | other_zeros)
+    }
     return _dnf_of_pairs(a.halfspaces, merged)
 
 
-def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
+def _distribute(clauses: Sequence[tuple[int, int]]) -> set[tuple[int, int]]:
     """Distribute a conjunction of literal-disjunctions into a disjunction
     of literal-conjunctions (or dually; the combinatorics are identical).
 
@@ -150,13 +147,13 @@ def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
     clauses the single empty choice yields the empty pair.  Partial
     merges are (ones, zeros) masks, deduplicated after every clause,
     which bounds the working set by 3^n instead of the full product of
-    clause sizes.  The pairs come out unordered; every caller normalizes
-    them.
+    clause sizes.  The (ones, zeros) masks come out unordered; every
+    caller normalizes them.
     """
     partial = {(0, 0)}
-    for clause in clauses:
-        plain = [1 << i - 1 for i in clause.ones]
-        complemented = [1 << i - 1 for i in clause.zeros]
+    for clause_ones, clause_zeros in clauses:
+        plain = [1 << i - 1 for i in _members(clause_ones)]
+        complemented = [1 << i - 1 for i in _members(clause_zeros)]
         partial = {
             (ones | bit, zeros) for ones, zeros in partial for bit in plain if not zeros & bit
         } | {
@@ -164,22 +161,20 @@ def _distribute(n: int, clauses: Sequence[IndexPair]) -> list[IndexPair]:
         }
         if not partial:
             break
-    return [IndexPair(ones, zeros, n) for ones, zeros in partial]
+    return partial
 
 
 def cnf_to_dnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite an intersection of cocells as a union of cells, pointwise equal."""
     if k.mode is not Mode.CNF:
         raise PreconditionError("cnf_to_dnf expects a CNF presentation")
-    pairs = _distribute(len(k.halfspaces), k.scheme.selected_pairs())
-    return _dnf_of_pairs(k.halfspaces, pairs, Mode.DNF)
+    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks), Mode.DNF)
 
 
 def dnf_to_cnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite a union of cells as an intersection of cocells, pointwise equal."""
     _require_dnf(k, "dnf_to_cnf")
-    pairs = _distribute(len(k.halfspaces), k.scheme.selected_pairs())
-    return _dnf_of_pairs(k.halfspaces, pairs, Mode.CNF)
+    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks), Mode.CNF)
 
 
 def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -190,9 +185,8 @@ def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
     back into DNF.  Output size can grow as the product of pair sizes.
     """
     _require_dnf(k, "complement")
-    swapped = [p.swapped() for p in k.scheme.selected_pairs()]
-    pairs = _distribute(len(k.halfspaces), swapped)
-    return _dnf_of_pairs(k.halfspaces, pairs)
+    swapped = [(zeros, ones) for ones, zeros in k._selected_masks]
+    return _dnf_of_pairs(k.halfspaces, _distribute(swapped))
 
 
 def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:

@@ -439,6 +439,39 @@ def script_wrapper(ep):
     return [sys.executable, "-c", code]
 
 
+def test_repeated_calls_in_one_process_match_fresh_processes(files, capsys):
+    # the parser is built once per process, so no option may carry over
+    # from one call to the next
+    hs = files("h", "0 1 >=\n-1 -1 >=\n")  # x >= 0 and x <= -1 share no point
+    code, net, _ = run(capsys, "synth", hs, files("s", "N=2\nG1: ONES=1 ZEROS=-\nJ=1\n"))
+    assert code == 0
+    net = files("n", net)
+    and_net, or_net = files("and.net", AND_NET), make_or_net(files, capsys)
+    b1 = files("b1", HS + "MODE=DNF\nN=2\nG1: ONES=1 ZEROS=-\nJ=1\n")
+    b2 = files("b2", HS + "MODE=DNF\nN=2\nG1: ONES=2 ZEROS=-\nJ=1\n")
+    calls = [
+        ("extract", net, "--prune"),
+        ("extract", net),
+        ("equiv", and_net, or_net, "--mode", "sampled", "--seed", "3"),
+        ("equiv", and_net, or_net),
+        ("equiv", and_net, or_net, "--mode", "sampled"),
+        ("algebra", "union", b1, b2),
+        ("algebra", "complement", b1),
+    ]
+    outputs = [run(capsys, *argv) for argv in calls]
+    for argv, output in zip(calls, outputs):
+        proc = run_child(*argv)
+        assert output == (proc.returncode, proc.stdout, proc.stderr), argv
+    # each option changes what its call prints
+    assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
+    assert outputs[6][0] == 0
+    with pytest.raises(SystemExit) as exc:
+        console_main(["--help"])
+    assert exc.value.code == 0
+    assert "synth" in capsys.readouterr().out
+    assert run(capsys, *calls[1]) == outputs[1]
+
+
 def test_module_and_script_invocations(files):
     feasible = files("h", "0 1 >=\n0 -1 >=\n")
     infeasible = files("i", "0 1 >\n0 -1 >\n")

@@ -159,6 +159,35 @@ def test_scheme_parse_rejects(text):
     assert info.value.line is not None
 
 
+def test_repeated_bad_index_list_reports_its_first_line():
+    text = "N=2\nG1: ONES=1 ZEROS=-\nG2: ONES=2,1 ZEROS=-\nG3: ONES=1 ZEROS=-\nG4: ONES=- ZEROS=2,1\nJ=1\n"
+    with pytest.raises(ParseError, match="2,1") as info:
+        parse_scheme(text)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("N=2\nG1: ONES=1,2 ZEROS=-\nG2: ONES=- ZEROS=1,2\nG3: ONES=1,2 ZEROS=3\nJ=1\n", 4),
+        ("N=2\nG1: ONES=1 ZEROS=2\nG2: ONES=1 ZEROS=2\nG3: ONES=3 ZEROS=2\nJ=1\n", 4),
+        # J= counts pairs, not N=: a list valid in a pair is checked anew
+        ("N=3\nG1: ONES=1,2 ZEROS=-\nJ=1,2\n", 3),
+    ],
+)
+def test_repeated_valid_index_list_does_not_excuse_a_later_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_scheme(text)
+    assert info.value.line == line
+
+
+def test_repeated_index_lists_parse_to_equal_masks():
+    text = "N=3\nG1: ONES=1,3 ZEROS=-\nG2: ONES=- ZEROS=1,3\nG3: ONES=1,3 ZEROS=2\nJ=1,3\n"
+    s = parse_scheme(text)
+    assert [(p.ones_mask, p.zeros_mask) for p in s.pairs] == [(5, 0), (0, 5), (5, 2)]
+    assert format_scheme(s) == text
+
+
 def tuple_order(pairs):
     return sorted(pairs, key=lambda p: (p.ones.members, p.zeros.members))
 
@@ -170,6 +199,34 @@ def test_normalize_order_is_member_tuple_order():
         rng.shuffle(pairs)
         raw = Scheme(n, tuple(pairs), IndexSet.of(range(1, len(pairs) + 1), len(pairs)))
         assert list(normalize_scheme(raw).pairs) == tuple_order(pairs)
+
+
+def normalized_by_reference(scheme):
+    """Sort by sort_key, merge equal pairs, and select a merged pair when
+    any of its copies was selected."""
+    selected = {}
+    for j, pair in enumerate(scheme.pairs, 1):
+        selected[pair] = selected.get(pair, False) or j in scheme.selector
+    ordered = sorted(selected, key=IndexPair.sort_key)
+    chosen = [k for k, pair in enumerate(ordered, 1) if selected[pair]]
+    return Scheme(scheme.ambient, tuple(ordered), IndexSet(chosen, len(ordered)))
+
+
+@strat.composite
+def raw_schemes(draw):
+    """Unsorted schemes that repeat pairs, under any selector, over
+    ambients past one machine word."""
+    n = draw(strat.integers(1, 100))
+    masks = strat.integers(0, (1 << n) - 1)
+    pool = draw(strat.lists(strat.tuples(masks, masks), min_size=1, max_size=6))
+    picks = draw(strat.lists(strat.sampled_from(pool), max_size=14))
+    pairs = tuple(IndexPair(ones, zeros, n) for ones, zeros in picks)
+    return Scheme(n, pairs, IndexSet.from_mask(draw(strat.integers(0, (1 << len(pairs)) - 1)), len(pairs)))
+
+
+@hypothesis.given(raw_schemes())
+def test_normalize_agrees_with_reference(raw):
+    assert normalize_scheme(raw) == normalized_by_reference(raw)
 
 
 def test_extraction_key_is_member_tuple_order():

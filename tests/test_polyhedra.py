@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis
@@ -134,6 +135,12 @@ def test_selected_pairs_must_be_consistent(ground):
     # unselected inconsistent pairs are allowed (mute)
     k = dnf(ground, [IndexPair.of([1], [], 2), bad], selected=[1])
     assert k.member(pt(1, 1)) == 1
+
+
+def test_first_inconsistent_selected_pair_is_named(ground):
+    ok, bad, worse = IndexPair.of([1], [], 2), IndexPair.of([1], [1], 2), IndexPair.of([2], [1, 2], 2)
+    with pytest.raises(SchemeError, match=r"^selected pair G3 is inconsistent$"):
+        dnf(ground, [ok, bad, worse, bad], selected=[1, 3, 4])
 
 
 def test_union_concatenates_and_normalizes(ground):
@@ -319,6 +326,19 @@ def test_bundle_round_trip_is_byte_identical(k):
 def test_bundle_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_bundle(text)
+
+
+def test_bundle_huge_ambient_refused_before_any_mask():
+    # a mask holding index 99999999999 would take 12.5 GB
+    text = "0 1 >\nMODE=DNF\nN=100000000000\nG1: ONES=99999999999 ZEROS=-\nG2: ONES=99999999999 ZEROS=-\nJ=1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemeError, match="scheme over 100000000000 pairs with 1 half-spaces"):
+            parse_bundle(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bundle_scheme_halfspace_mismatch_is_scheme_error(ground):
