@@ -94,35 +94,32 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise ParseError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, str]:
     network = parse_network(_read(args.network))
     lines = []
     for point in _read_points(args.points):
         bits = network.forward(point)
         lines.append(" ".join(str(b) for b in bits))
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0
+    return 0, "".join(line + "\n" for line in lines)
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple[int, str]:
     bundle = parse_bundle(_read(args.bundle))
     lines = [str(bundle.member(point)) for point in _read_points(args.points)]
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0
+    return 0, "".join(line + "\n" for line in lines)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[int, str]:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
     # N= is checked before any mask is built, so a huge N= costs nothing
     scheme = parse_scheme_lines(
         _read(args.scheme).splitlines(), 1, lambda n: check_ground(n, len(halfspaces))
     )
     build = build_dnf_network if args.mode == "dnf" else build_cnf_network
-    _emit(format_network(build(halfspaces, scheme)), args.out)
-    return 0
+    return 0, format_network(build(halfspaces, scheme))
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> tuple[int, str]:
     network = parse_network(_read(args.network))
     report = extract_scheme(network, prune=args.prune, cap=args.cap)
     if report.accepted_count == 0 and not args.permissive_constants:
@@ -130,24 +127,20 @@ def _cmd_extract(args) -> int:
     bundle = PresentedPolyhedron(
         network.layers[0].units, report.scheme, Mode.DNF
     )
-    _emit(format_bundle(bundle), args.out)
-    return 0
+    return 0, format_bundle(bundle)
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[int, str]:
     network = parse_network(_read(args.network))
     result = normalize_three_layers(
         network, permit_constant=args.permissive_constants, cap=args.cap
     )
     if isinstance(result, ConstantNetwork):
-        text = f"CONSTANT={result.value}\nINPUTS={result.input_dim}\n"
-    else:
-        text = format_network(result)
-    _emit(text, args.out)
-    return 0
+        return 0, f"CONSTANT={result.value}\nINPUTS={result.input_dim}\n"
+    return 0, format_network(result)
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra(args) -> tuple[int, str]:
     first = parse_bundle(_read(args.bundle))
     if args.op in ("union", "intersect"):
         if args.other is None:
@@ -162,11 +155,10 @@ def _cmd_algebra(args) -> int:
         result = cnf_to_dnf(first)
     else:
         result = dnf_to_cnf(first)
-    _emit(format_bundle(result), args.out)
-    return 0
+    return 0, format_bundle(result)
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[int, str]:
     left = parse_network(_read(args.left))
     right = parse_network(_read(args.right))
     result = check_equivalence(
@@ -178,36 +170,31 @@ def _cmd_equiv(args) -> int:
         cap=args.cap,
     )
     if result.equivalent:
-        _emit("EQUIVALENT\n", args.out)
-        return 0
+        return 0, "EQUIVALENT\n"
     if result.counterexample_bits is not None:
         lines = ["COUNTEREXAMPLE b=" + format_point(result.counterexample_bits)]
         if result.counterexample_point is not None:
             lines.append("WITNESS=" + format_point(result.counterexample_point))
     else:
         lines = ["COUNTEREXAMPLE x=" + format_point(result.counterexample_point)]
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 1
+    return 1, "".join(line + "\n" for line in lines)
 
 
-def _cmd_prune(args) -> int:
+def _cmd_prune(args) -> tuple[int, str]:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
     scheme = parse_scheme_lines(
         _read(args.scheme).splitlines(), 1, lambda n: _check_prune_ground(n, len(halfspaces))
     )
-    _emit(format_scheme(prune_empty_cells(halfspaces, scheme)), args.out)
-    return 0
+    return 0, format_scheme(prune_empty_cells(halfspaces, scheme))
 
 
-def _cmd_feasible(args) -> int:
+def _cmd_feasible(args) -> tuple[int, str]:
     halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
     system = InequalitySystem(tuple((h.form, h.kind) for h in halfspaces))
     point = witness(system, args.cap)
     if point is None:
-        _emit("INFEASIBLE\n", args.out)
-        return 1
-    _emit(f"FEASIBLE\nWITNESS={format_point(point)}\n", args.out)
-    return 0
+        return 1, "INFEASIBLE\n"
+    return 0, f"FEASIBLE\nWITNESS={format_point(point)}\n"
 
 
 @functools.cache
@@ -286,7 +273,9 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code, text = args.run(args)
+        _emit(text, args.out)
+        return code
     except PolypercError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point
@@ -64,6 +64,8 @@ def system_of_cell(
         raise PreconditionError(
             f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}"
         )
+    if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
+        raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
     chosen = [halfspaces[i - 1] for i in pair.ones]
     chosen += [halfspaces[i - 1].complement() for i in pair.zeros]
     return InequalitySystem(tuple((h.form, h.kind) for h in chosen))
@@ -107,24 +109,20 @@ def _eliminate(
     stages: list[tuple[list[_Bound], list[_Bound]]] = []
     current = triples
     for d in range(dimension, 0, -1):
-        live = []
-        for strict, bias, coeffs in current:
-            if any(coeffs):
-                live.append((strict, bias, coeffs))
-            elif _violated_constant(strict, bias):
-                return False, stages
         lowers: list[_Bound] = []
         uppers: list[_Bound] = []
         passthrough: list[_Triple] = []
-        for strict, bias, coeffs in live:
+        for strict, bias, coeffs in current:
             pivot = coeffs[d - 1]
             head = coeffs[: d - 1]
             if pivot > 0:
                 lowers.append((strict, bias, head, pivot))
             elif pivot < 0:
                 uppers.append((strict, bias, head, pivot))
-            else:
+            elif any(head):
                 passthrough.append((strict, bias, head))
+            elif _violated_constant(strict, bias):
+                return False, stages
         stages.append((lowers, uppers))
         combined = passthrough
         for s_lo, b_lo, h_lo, c_lo in lowers:
@@ -243,28 +241,28 @@ def cell_witness(
 
 
 def _realizable(
-    halfspaces: Sequence[HalfSpace], pairs: Sequence[tuple[int, int, int]], first: bool = False
-) -> set[int]:
-    """Keys of the ``(key, ones, zeros)`` mask triples with nonempty cells.
+    halfspaces: Sequence[HalfSpace], pairs: Sequence[tuple[int, int, int]]
+) -> Iterator[int]:
+    """Yield the keys of the ``(key, ones, zeros)`` mask triples with nonempty cells.
 
     One depth-first walk splits a group on the highest half-space its pairs
     mention: pairs that skip it, complement it, take it, in that order.  A
     child keeps its group's prefix point if it holds there; an empty child
     cuts its pairs.  A lone pair, or each pair of a group whose prefix
-    meets the cap, takes one elimination of its own cell.  ``first`` stops
-    at the first nonempty cell: among full pairs in ascending order, the
-    smallest.
+    meets the cap, takes one elimination of its own cell.  Among full
+    pairs in ascending order, the first key yielded is the smallest
+    realizable one.
     """
     dims = {h.dimension for h in halfspaces}
     spans = [sum(1 << i for i, h in enumerate(halfspaces) if h.dimension == d) for d in dims]
     if len(spans) > 1 and any(sum(bool((o | z) & span) for span in spans) > 1 for _, o, z in pairs):
         raise DimensionError("mixed constraint dimensions")
     rows = _rows((h.form, h.kind) for h in halfspaces)
-    flipped = _rows((c.form, c.kind) for c in map(HalfSpace.complement, halfspaces))
-    found: set[int] = set()
+    # the complement negates the form, which keeps its denominators, and swaps lax with strict
+    flipped = [(not strict, -bias, tuple(-c for c in coeffs)) for strict, bias, coeffs in rows]
     # (1, ()) is the origin in any dimension; a pair taking a half-space both ways is empty
     stack = [([], (1, ()), [], [entry for entry in pairs if not entry[1] & entry[2]])]
-    while stack and not (first and found):
+    while stack:
         system, point, extra, group = stack.pop()
         if len(group) == 1:
             key, ones, zeros = group[0]
@@ -272,7 +270,7 @@ def _realizable(
             pending += [flipped[i - 1] for i in _members(zeros)]
             held = all(_holds(row, *point) for row in pending)
             if held or _eliminate(system + pending, len(pending[0][2]), DEFAULT_CONSTRAINT_CAP)[0]:
-                found.add(key)
+                yield key
             continue
         if not all(_holds(row, *point) for row in extra):
             try:
@@ -283,7 +281,7 @@ def _realizable(
             if point is None:
                 continue
         system = system + extra
-        found.update(key for key, ones, zeros in group if not ones | zeros)
+        yield from (key for key, ones, zeros in group if not ones | zeros)
         rest = [entry for entry in group if entry[1] | entry[2]]
         if rest:
             i = max(ones | zeros for _, ones, zeros in rest).bit_length() - 1
@@ -294,4 +292,3 @@ def _realizable(
                 ([], [(k, o, z) for k, o, z in rest if not (o | z) & bit]),
             )
             stack += [(system, point, extra, child) for extra, child in children if child]
-    return found

@@ -159,8 +159,12 @@ class Scheme:
                 raise PreconditionError(
                     f"pair over {pair.ambient} in a scheme over {self.ambient}"
                 )
+            if (pair.ones_mask | pair.zeros_mask) >> self.ambient:
+                raise PreconditionError(f"pair names an index outside 1..{self.ambient}")
         if self.selector.ambient != len(self.pairs):
             raise PreconditionError("selector ambient must equal the number of pairs")
+        if self.selector.mask >> len(self.pairs):
+            raise PreconditionError(f"selector names a pair outside 1..{len(self.pairs)}")
 
     @property
     def q(self) -> int:

@@ -222,9 +222,9 @@ def parse_bundle(text: str) -> PresentedPolyhedron:
             break
         halfspaces.append(parse_halfspace(line, lineno))
     if mode is None or mode_lineno is None:
-        raise ParseError("missing MODE=DNF|CNF line")
+        raise ParseError("missing MODE=DNF|CNF line", len(raw) or 1)
     if not halfspaces:
-        raise ParseError("bundle has no half-space lines")
+        raise ParseError("bundle has no half-space lines", mode_lineno)
     scheme = parse_scheme_lines(
         raw[mode_lineno:], mode_lineno + 1, lambda n: check_ground(n, len(halfspaces))
     )

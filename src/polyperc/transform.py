@@ -177,7 +177,7 @@ def prune_empty_cells(
     _check_prune_ground(scheme.ambient, len(halfspaces))
     chosen = scheme.selector.mask
     pairs = [(k, p.ones_mask, p.zeros_mask) for k, p in enumerate(scheme.pairs) if chosen >> k & 1]
-    realizable = _realizable(halfspaces, pairs)
+    realizable = set(_realizable(halfspaces, pairs))
     keep: list[IndexPair] = []
     selected = 0
     for k, pair in enumerate(scheme.pairs):
@@ -243,7 +243,7 @@ def check_equivalence(
     checked = 1 << n1
     full = (1 << n1) - 1
     differing = [(g, g, full ^ g) for g in sorted(accepted_left ^ accepted_right)]
-    for g in _realizable(halfspaces, differing, first=True):
+    for g in _realizable(halfspaces, differing):
         return EquivalenceResult(
             equivalent=False,
             mode=mode,

@@ -399,6 +399,54 @@ def test_unwritable_out_path_exit_2(files, tmp_path):
     assert proc.stdout == "" and not target.exists()
 
 
+def test_out_flag_matches_stdout_for_every_subcommand(files, capsys, tmp_path):
+    # -o FILE writes exactly the bytes stdout would get, prints nothing and
+    # keeps the exit code; a call that fails creates no file
+    hs = files("h", HS)
+    empty_hs = files("e", "0 1 >=\n-1 -1 >=\n")  # x >= 0 and x <= -1 share no point
+    code, net, _ = run(capsys, "synth", empty_hs, files("s1", "N=2\nG1: ONES=1 ZEROS=-\nJ=1\n"))
+    assert code == 0
+    net = files("n", net)
+    and_net, or_net = files("and.net", AND_NET), make_or_net(files, capsys)
+    b1 = files("b1", HS + "MODE=DNF\nN=2\nG1: ONES=1 ZEROS=-\nJ=1\n")
+    b2 = files("b2", HS + "MODE=DNF\nN=2\nG1: ONES=2 ZEROS=-\nJ=1\n")
+    cnf = files("c", HS + "MODE=CNF\nN=2\nG1: ONES=1 ZEROS=-\nJ=1\n")
+    prune_scheme = files("s2", "N=2\nG1: ONES=1 ZEROS=2\nG2: ONES=2 ZEROS=1\nJ=1,2\n")
+    calls = [
+        (0, "eval", and_net, files("p", "1 1\n1 -1\n")),
+        (0, "member", b1, files("q", "-2 9\n0 0\n")),
+        (0, "synth", hs, files("s", AND_SCHEME)),
+        (0, "synth", hs, files("s", AND_SCHEME), "--mode", "cnf"),
+        (0, "extract", net),
+        (0, "extract", net, "--prune"),
+        (0, "normalize", or_net),
+        (0, "algebra", "union", b1, b2),
+        (0, "algebra", "intersect", b1, b2),
+        (0, "algebra", "complement", b1),
+        (0, "algebra", "to-dnf", cnf),
+        (0, "algebra", "to-cnf", b1),
+        (0, "equiv", and_net, and_net),
+        (1, "equiv", and_net, or_net),
+        (0, "equiv", and_net, and_net, "--mode", "sampled"),
+        (1, "equiv", and_net, or_net, "--mode", "sampled", "--seed", "7"),
+        (0, "prune", files("h2", "0 1 >=\n-1 1 >\n"), prune_scheme),
+        (0, "feasible", files("f0", "0 1 >=\n0 -1 >=\n")),
+        (1, "feasible", files("f1", "0 1 >\n0 -1 >\n")),
+        (5, "extract", and_net, "--cap", "1"),
+        (4, "synth", hs, files("s3", "N=3\nG1: ONES=1 ZEROS=-\nJ=1\n")),
+        (2, "eval", and_net, files("bad", "1 x\n")),
+    ]
+    for k, (expected, *argv) in enumerate(calls):
+        code, out, err = run(capsys, *argv)
+        assert code == expected, (argv, err)
+        target = tmp_path / f"out{k}"
+        assert run(capsys, *argv, "-o", str(target)) == (code, "", err), argv
+        if code in (0, 1):
+            assert out and target.read_bytes() == out.encode("utf-8"), argv
+        else:
+            assert out == "" and not target.exists(), argv
+
+
 def test_bad_network_file_exit_2(files, capsys):
     code, _, err = run(
         capsys, "eval", files("n", "LAYERS=1\nLAYER 2 1\n"), files("p", "1 1\n")

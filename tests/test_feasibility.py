@@ -12,6 +12,7 @@ from polyperc import (
     InequalityKind,
     InequalitySystem,
     LinearForm,
+    PreconditionError,
     SizeCapError,
     cell_is_empty,
     cell_witness,
@@ -113,6 +114,13 @@ def test_system_of_cell_golden():
     assert kind is InequalityKind.STRICT
     assert form.weights == (Fraction(-1),)
     assert system_of_cell(hs, IndexPair.of([], [], 1)).constraints == ()
+
+
+@pytest.mark.parametrize("pair", [IndexPair(0b10, 0, 1), IndexPair(0, 0b11, 1), IndexPair(-1, 0, 1)])
+def test_system_of_cell_rejects_masks_outside_ambient(pair):
+    hs = (parse_halfspace("0 1 >="),)
+    with pytest.raises(PreconditionError, match="outside 1..1"):
+        system_of_cell(hs, pair)
 
 
 def test_cell_is_empty_golden():

@@ -79,6 +79,22 @@ def test_scheme_selector_must_match_pair_count():
         Scheme(2, (pair,), IndexSet.of([1], 3))
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [IndexPair(0b101, 0, 2), IndexPair(0, 0b100, 2), IndexPair(-1, 0, 2), IndexPair(0, -2, 2)],
+)
+def test_scheme_rejects_pair_masks_outside_ambient(pair):
+    # such a scheme would format as ONES=1,3, which parse_scheme refuses
+    with pytest.raises(PreconditionError, match="outside 1..2"):
+        Scheme(2, (pair,), IndexSet.of([1], 1))
+
+
+@pytest.mark.parametrize("mask", [0b10, 0b101, -1])
+def test_scheme_rejects_selector_masks_past_the_pairs(mask):
+    with pytest.raises(PreconditionError, match="outside 1..1"):
+        Scheme(2, (IndexPair.of([1], [], 2),), IndexSet.from_mask(mask, 1))
+
+
 def test_scheme_selected_pairs():
     pairs = (IndexPair.of([1], [], 2), IndexPair.of([2], [], 2))
     s = Scheme(2, pairs, IndexSet.of([2], 2))

@@ -246,3 +246,9 @@ def test_network_round_trip_random():
 def test_network_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_network(text)
+
+
+def test_network_parse_names_the_line_of_an_empty_layer():
+    with pytest.raises(ParseError) as exc:
+        parse_network("LAYERS=1\nLAYER 2 0\n")
+    assert exc.value.line == 2

@@ -7,6 +7,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
+    DimensionError,
     IndexPair,
     IndexSet,
     Mode,
@@ -326,6 +327,38 @@ def test_bundle_round_trip_is_byte_identical(k):
 def test_bundle_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_bundle(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 1 0 >=\n0 0 1 >\n", 2),  # no MODE line: the last line is named
+        ("0 1 0 >=\n\n", 2),
+        ("", 1),
+        ("\nMODE=DNF\nN=1\nG1: ONES=1 ZEROS=-\nJ=1\n", 2),  # no half-spaces: the MODE line
+    ],
+)
+def test_bundle_parse_errors_name_a_line(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_bundle(text)
+    assert exc.value.line == line
+
+
+def test_bundle_parse_skips_blank_lines_between_halfspaces(ground):
+    k = dnf(ground, [IndexPair.of([1], [2], 2)])
+    text = format_bundle(k)
+    first, rest = text.split("\n", 1)
+    assert parse_bundle(first + "\n\n  \n" + rest) == k
+
+
+def test_presentation_needs_halfspaces_of_one_dimension():
+    with pytest.raises(PreconditionError, match="at least one half-space"):
+        PresentedPolyhedron((), Scheme(0, (), IndexSet.of([], 0)), Mode.DNF)
+    mixed = (parse_halfspace("0 1 >="), parse_halfspace("0 1 1 >="))
+    with pytest.raises(DimensionError, match="mixed dimension"):
+        PresentedPolyhedron(mixed, Scheme(2, (), IndexSet.of([], 0)), Mode.DNF)
+    scheme = Scheme(1, (IndexPair.of([1], [], 1),), IndexSet.of([1], 1))
+    assert PresentedPolyhedron(mixed[:1], scheme, Mode.CNF).dimension == 1
 
 
 def test_bundle_huge_ambient_refused_before_any_mask():
