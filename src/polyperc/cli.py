@@ -24,7 +24,7 @@ from .feasibility import (
     InequalitySystem,
     witness,
 )
-from .geometry import format_point, parse_halfspace_block, parse_point
+from .geometry import _rows, format_point, parse_halfspace_block, parse_point
 from .indexing import check_ground, format_scheme, parse_scheme_lines
 from .network import format_network, parse_network
 from .polyhedra import (
@@ -62,11 +62,7 @@ def _read(path: str) -> str:
 
 
 def _read_points(path: str):
-    points = []
-    for lineno, line in enumerate(_read(path).splitlines(), 1):
-        if line.strip():
-            points.append(parse_point(line, lineno))
-    return points
+    return [parse_point(line, lineno) for lineno, line in _rows(_read(path).splitlines())]
 
 
 def _seed(text: str) -> int:

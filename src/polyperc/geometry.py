@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConstantFormError, DimensionError, ParseError
 
@@ -226,10 +226,12 @@ def format_halfspace(halfspace: HalfSpace) -> str:
     return " ".join(parts)
 
 
-def parse_halfspace_block(lines: Iterable[str], first_lineno: int = 1) -> tuple[HalfSpace, ...]:
+def _rows(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each non-blank line, counting from ``first_lineno``."""
+    stripped = enumerate(map(str.strip, lines), first_lineno)
+    return ((lineno, line) for lineno, line in stripped if line)
+
+
+def parse_halfspace_block(lines: Iterable[str]) -> tuple[HalfSpace, ...]:
     """Parse consecutive half-space lines, skipping blank ones."""
-    out = []
-    for offset, line in enumerate(lines):
-        if line.strip():
-            out.append(parse_halfspace(line, first_lineno + offset))
-    return tuple(out)
+    return tuple(parse_halfspace(line, lineno) for lineno, line in _rows(lines))

@@ -17,6 +17,7 @@ from operator import lt
 from typing import Callable, Container, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError
+from .geometry import _rows
 
 _set = object.__setattr__
 _MEMBERS_FIRST = str.maketrans("01", "10")
@@ -234,10 +235,10 @@ def parse_scheme_lines(
     mask is built, so a caller can refuse an N= that does not match its
     half-spaces before a huge index costs a huge mask.
     """
-    rows = [(first_lineno + k, line) for k, line in enumerate(lines) if line.strip()]
-    if not rows:
-        raise ParseError("empty scheme block", first_lineno)
-    lineno, header = rows[0]
+    rows = _rows(lines, first_lineno)
+    lineno, header = next(rows, (first_lineno, ""))
+    if not header:
+        raise ParseError("empty scheme block", lineno)
     if not header.startswith("N="):
         raise ParseError("scheme block must start with N=<n>", lineno)
     try:
@@ -251,12 +252,12 @@ def parse_scheme_lines(
     # each distinct index list is checked at its first line only
     members: dict[str, tuple[int, ...]] = {}
     selector: tuple[int, ...] | None = None
-    for row, (lineno, line) in enumerate(rows[1:], 1):
+    for lineno, line in rows:
+        if selector is not None:
+            raise ParseError("unexpected content after J= line", lineno)
         if line.startswith("J="):
             selector = _parse_members(line[2:], len(texts), lineno)
-            if row < len(rows) - 1:
-                raise ParseError("unexpected content after J= line", rows[row + 1][0])
-            break
+            continue
         match = _PAIR_LINE.match(line)
         if not match:
             raise ParseError(f"bad scheme line {line!r}", lineno)
@@ -267,7 +268,7 @@ def parse_scheme_lines(
             if text not in members:
                 members[text] = _parse_members(text, ambient, lineno)
     if selector is None:
-        raise ParseError("scheme block has no J= line", rows[-1][0])
+        raise ParseError("scheme block has no J= line", lineno)
     if check_ambient is not None:
         check_ambient(ambient)
     mask = {text: _mask_of(indices) for text, indices in members.items()}

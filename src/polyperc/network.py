@@ -24,6 +24,7 @@ from .geometry import (
     HalfSpace,
     InequalityKind,
     Point,
+    _rows,
     format_halfspace,
     parse_halfspace,
 )
@@ -157,11 +158,7 @@ def format_network(network: PerceptronNetwork) -> str:
 
 
 def parse_network(text: str) -> PerceptronNetwork:
-    rows = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), 1)
-        if line.strip()
-    ]
+    rows = list(_rows(text.splitlines()))
     if not rows:
         raise ParseError("empty network file")
     head_lineno, head = rows[0]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
 from .feasibility import system_of_cell
-from .geometry import HalfSpace, Point, format_halfspace, parse_halfspace
+from .geometry import HalfSpace, Point, _rows, format_halfspace, parse_halfspace
 from .indexing import (
     IndexPair,
     IndexSet,
@@ -205,27 +205,20 @@ def format_bundle(k: PresentedPolyhedron) -> str:
 
 
 def parse_bundle(text: str) -> PresentedPolyhedron:
-    raw = text.splitlines()
+    lines = text.splitlines()
     halfspaces = []
-    mode = None
-    mode_lineno = None
-    for lineno, rawline in enumerate(raw, 1):
-        line = rawline.strip()
-        if not line:
-            continue
+    for lineno, line in _rows(lines):
         if line.startswith("MODE="):
-            value = line[len("MODE=") :]
-            if value not in ("DNF", "CNF"):
-                raise ParseError(f"unknown mode {value!r}", lineno)
-            mode = Mode(value)
-            mode_lineno = lineno
             break
         halfspaces.append(parse_halfspace(line, lineno))
-    if mode is None or mode_lineno is None:
-        raise ParseError("missing MODE=DNF|CNF line", len(raw) or 1)
+    else:
+        raise ParseError("missing MODE=DNF|CNF line", len(lines) or 1)
+    value = line[len("MODE=") :]
+    if value not in ("DNF", "CNF"):
+        raise ParseError(f"unknown mode {value!r}", lineno)
     if not halfspaces:
-        raise ParseError("bundle has no half-space lines", mode_lineno)
+        raise ParseError("bundle has no half-space lines", lineno)
     scheme = parse_scheme_lines(
-        raw[mode_lineno:], mode_lineno + 1, lambda n: check_ground(n, len(halfspaces))
+        lines[lineno:], lineno + 1, lambda n: check_ground(n, len(halfspaces))
     )
-    return PresentedPolyhedron(tuple(halfspaces), scheme, mode)
+    return PresentedPolyhedron(tuple(halfspaces), scheme, Mode(value))

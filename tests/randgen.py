@@ -33,6 +33,23 @@ def point(rng: random.Random, dim: int, span: int = 24, max_den: int = 8):
     return tuple(rational(rng, span, max_den) for _ in range(dim))
 
 
+def padded(rng: random.Random, text: str) -> str:
+    """The lines of ``text`` with spaces and tabs around each one and
+    whitespace-only lines inserted anywhere, before the first line and
+    after the last too."""
+
+    def blank() -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(0, 3)))
+
+    out = []
+    for line in text.splitlines() + [None]:
+        while rng.random() < 0.3:
+            out.append(blank())
+        if line is not None:
+            out.append(blank() + line + blank())
+    return "\n".join(out) + "\n"
+
+
 def grid(dim: int, values=None):
     """Small deterministic grid; 5^dim points by default."""
     if values is None:
