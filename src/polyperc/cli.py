@@ -18,7 +18,7 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .errors import ParseError, PolypercError, PreconditionError, SchemeError
+from .errors import DimensionError, ParseError, PolypercError, PreconditionError, SchemeError
 from .feasibility import (
     DEFAULT_CONSTRAINT_CAP,
     InequalitySystem,
@@ -61,8 +61,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
-def _read_points(path: str):
-    return [parse_point(line, lineno) for lineno, line in _rows(_read(path).splitlines())]
+def _read_points(path: str, dimension: int):
+    points = [(lineno, parse_point(line, lineno)) for lineno, line in _rows(_read(path).splitlines())]
+    for lineno, point in points:
+        if len(point) != dimension:
+            raise DimensionError(f"line {lineno}: point has {len(point)} coordinates, form expects {dimension}")
+    return [point for _, point in points]
 
 
 def _seed(text: str) -> int:
@@ -93,7 +97,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cmd_eval(args) -> tuple[int, str]:
     network = parse_network(_read(args.network))
     lines = []
-    for point in _read_points(args.points):
+    for point in _read_points(args.points, network.input_dim):
         bits = network.forward(point)
         lines.append(" ".join(str(b) for b in bits))
     return 0, "".join(line + "\n" for line in lines)
@@ -101,7 +105,7 @@ def _cmd_eval(args) -> tuple[int, str]:
 
 def _cmd_member(args) -> tuple[int, str]:
     bundle = parse_bundle(_read(args.bundle))
-    lines = [str(bundle.member(point)) for point in _read_points(args.points)]
+    lines = [str(bundle.member(point)) for point in _read_points(args.points, bundle.dimension)]
     return 0, "".join(line + "\n" for line in lines)
 
 

@@ -155,6 +155,8 @@ class Scheme:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
+        if self.ambient < 0:
+            raise PreconditionError(f"scheme ambient {self.ambient} is negative")
         for pair in self.pairs:
             if pair.ambient != self.ambient:
                 raise PreconditionError(

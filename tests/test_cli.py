@@ -113,6 +113,19 @@ def test_eval_dimension_mismatch_exit_3(files, capsys):
     assert "coordinates" in err
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [("eval", AND_NET), ("member", HS + "MODE=DNF\nN=2\nG1: ONES=1 ZEROS=2\nJ=1\n")],
+    ids=["eval", "member"],
+)
+def test_wrong_length_point_names_its_line(files, capsys, command, source):
+    # the blank line 2 counts, so the short point is on line 4
+    points = "1 1\n\n-1 2\n7\n0 0\n"
+    code, out, err = run(capsys, command, files("n", source), files("p", points))
+    assert (code, out) == (3, "")
+    assert err == "error: line 4: point has 1 coordinates, form expects 2\n"
+
+
 def test_member_golden(files, capsys):
     bundle = HS + "MODE=DNF\nN=2\nG1: ONES=1 ZEROS=2\nJ=1\n"
     code, out, _ = run(capsys, "member", files("b", bundle), files("p", "-2 9\n0 0\n"))

@@ -95,6 +95,18 @@ def test_scheme_rejects_selector_masks_past_the_pairs(mask):
         Scheme(2, (IndexPair.of([1], [], 2),), IndexSet.from_mask(mask, 1))
 
 
+@pytest.mark.parametrize(
+    "pairs, selector",
+    [
+        ((IndexPair(0, 0, -1),), IndexSet.of([1], 1)),  # once ended in "negative shift count"
+        ((), IndexSet.of([], 0)),  # once accepted silently
+    ],
+)
+def test_scheme_rejects_a_negative_ambient(pairs, selector):
+    with pytest.raises(PreconditionError, match="ambient -1 is negative"):
+        Scheme(-1, pairs, selector)
+
+
 def test_scheme_selected_pairs():
     pairs = (IndexPair.of([1], [], 2), IndexPair.of([2], [], 2))
     s = Scheme(2, pairs, IndexSet.of([2], 2))
