@@ -98,8 +98,8 @@ def test_scheme_rejects_selector_masks_past_the_pairs(mask):
 @pytest.mark.parametrize(
     "pairs, selector",
     [
-        ((IndexPair(0, 0, -1),), IndexSet.of([1], 1)),  # once ended in "negative shift count"
-        ((), IndexSet.of([], 0)),  # once accepted silently
+        ((IndexPair(0, 0, -1),), IndexSet.of([1], 1)),
+        ((), IndexSet.of([], 0)),
     ],
 )
 def test_scheme_rejects_a_negative_ambient(pairs, selector):

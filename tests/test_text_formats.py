@@ -10,6 +10,8 @@ its fault, so the line it names counts blank lines too.
 import contextlib
 import io
 import random
+import tempfile
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -145,16 +147,16 @@ def eval_stdout(network_path, points_path) -> tuple[int, str]:
 
 @hypothesis.settings(deadline=None)
 @hypothesis.given(rngs)
-def test_padded_points_file_gives_the_same_eval_output(tmp_path_factory, rng):
-    folder = tmp_path_factory.mktemp("padded")
+def test_padded_points_file_gives_the_same_eval_output(rng):
     dim = rng.randint(1, 3)
-    network = folder / "net"
-    network.write_text(format_network(randgen.network(rng, dim)))
     points = [randgen.point(rng, dim) for _ in range(rng.randint(1, 5))]
     text = "".join(" ".join(map(format_rational, x)) + "\n" for x in points)
-    plain, padded = folder / "plain", folder / "padded"
-    plain.write_text(text)
-    padded.write_text(randgen.padded(rng, text))
-    expected = eval_stdout(network, plain)
-    assert expected[0] == 0 and expected[1].count("\n") == len(points)
-    assert eval_stdout(network, padded) == expected
+    with tempfile.TemporaryDirectory() as name:
+        folder = Path(name)
+        network, plain, padded = folder / "net", folder / "plain", folder / "padded"
+        network.write_text(format_network(randgen.network(rng, dim)))
+        plain.write_text(text)
+        padded.write_text(randgen.padded(rng, text))
+        expected = eval_stdout(network, plain)
+        assert expected[0] == 0 and expected[1].count("\n") == len(points)
+        assert eval_stdout(network, padded) == expected
