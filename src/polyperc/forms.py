@@ -22,10 +22,7 @@ HALF = Fraction(1, 2)
 
 def _weights(ones: int, zeros: int, ambient: int) -> tuple[Fraction, ...]:
     """Weight 1 on each ones index, -1 on each zeros index, 0 elsewhere."""
-    return tuple(
-        ONE if ones >> i & 1 else MINUS_ONE if zeros >> i & 1 else ZERO
-        for i in range(ambient)
-    )
+    return tuple(ONE if ones >> i & 1 else MINUS_ONE if zeros >> i & 1 else ZERO for i in range(ambient))
 
 
 def adder(indices: IndexSet) -> LinearForm:
@@ -33,27 +30,27 @@ def adder(indices: IndexSet) -> LinearForm:
     return LinearForm(ZERO, _weights(indices.mask, 0, indices.ambient))
 
 
-def _check_unit_pair(pair: IndexPair, what: str) -> None:
-    if not pair.is_consistent():
+def _unit_form(ones: int, zeros: int, ambient: int, conj: bool) -> LinearForm:
+    """AND-form (``conj``) or OR-form of the literals given by two masks."""
+    what = "conjunctive form" if conj else "disjunctive form"
+    if ones & zeros:
         raise SchemeError(f"inconsistent index pair in {what}")
-    if pair.is_empty:
+    if not ones | zeros:
         raise SchemeError(f"empty index pair would give a constant {what}")
+    bias = HALF - ones.bit_count() if conj else zeros.bit_count() - HALF
+    return LinearForm(bias, _weights(ones, zeros, ambient))
 
 
 def conj_form(pair: IndexPair) -> LinearForm:
     """Form that is 1/2 on binary b exactly when every ones index is 1 and
     every zeros index is 0, and at most -1/2 otherwise."""
-    _check_unit_pair(pair, "conjunctive form")
-    weights = _weights(pair.ones_mask, pair.zeros_mask, pair.ambient)
-    return LinearForm(HALF - pair.ones_mask.bit_count(), weights)
+    return _unit_form(pair.ones_mask, pair.zeros_mask, pair.ambient, True)
 
 
 def disj_form(pair: IndexPair) -> LinearForm:
     """Form that is -1/2 on binary b exactly when every ones index is 0 and
     every zeros index is 1, and at least 1/2 otherwise."""
-    _check_unit_pair(pair, "disjunctive form")
-    weights = _weights(pair.ones_mask, pair.zeros_mask, pair.ambient)
-    return LinearForm(pair.zeros_mask.bit_count() - HALF, weights)
+    return _unit_form(pair.ones_mask, pair.zeros_mask, pair.ambient, False)
 
 
 def conj_unit(pair: IndexPair) -> HalfSpace:

@@ -1,20 +1,22 @@
 """Index sets, index pairs and schemes, with their lexicographic orders.
 
 A scheme is the finite presentation everything else in the package is
-driven by: an ordered list of index pairs plus a selector picking which
-of them participate.  Raw schemes may arrive unsorted or with duplicate
-pairs; :func:`normalize_scheme` produces the canonical sorted,
-duplicate-free version without changing what any polyhedron built from
-the scheme contains.  An index set is an int mask, bit i-1 standing for
-index i; its member tuple is derived from the mask on each read.
+driven by: an ordered list of index pairs, held as two columns of int
+masks, plus a selector picking which of them participate.  Raw schemes
+may arrive unsorted or with duplicate pairs; :func:`normalize_scheme`
+produces the canonical sorted, duplicate-free version without changing
+what any polyhedron built from the scheme contains.  An index set is an
+int mask, bit i-1 standing for index i; its member tuple is derived
+from the mask on each read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import lt
-from typing import Callable, Container, Iterable, Sequence
+from functools import reduce
+from operator import lt, or_
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError
 from .geometry import _rows
@@ -78,6 +80,8 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: int, ambient: int) -> "IndexSet":
         """Wrap a mask the caller knows lies below ``1 << ambient``."""
+        if ambient < 0:
+            raise ValueError("ambient must be non-negative")
         index_set = object.__new__(cls)
         _set(index_set, "mask", mask)
         _set(index_set, "ambient", ambient)
@@ -112,6 +116,10 @@ class IndexPair:
     zeros_mask: int
     ambient: int
 
+    def __post_init__(self):
+        if self.ambient < 0:
+            raise ValueError("ambient must be non-negative")
+
     @classmethod
     def of(cls, ones: Iterable[int], zeros: Iterable[int], ambient: int) -> "IndexPair":
         return cls(IndexSet.of(ones, ambient).mask, IndexSet.of(zeros, ambient).mask, ambient)
@@ -144,50 +152,71 @@ def check_ground(ambient: int, halfspaces: int) -> None:
         raise SchemeError(f"scheme over {ambient} pairs with {halfspaces} half-spaces")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Scheme:
     """An ordered list of index pairs over ``ambient`` plus a selector
-    over positions 1..q choosing which pairs participate."""
+    over positions 1..q choosing which pairs participate.  Pair k is
+    ``(ones_masks[k-1], zeros_masks[k-1])``; ``pairs`` builds
+    ``IndexPair``s from the two columns on each read."""
 
     ambient: int
-    pairs: tuple[IndexPair, ...]
+    ones_masks: tuple[int, ...]
+    zeros_masks: tuple[int, ...]
     selector: IndexSet
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if self.ambient < 0:
-            raise PreconditionError(f"scheme ambient {self.ambient} is negative")
-        for pair in self.pairs:
-            if pair.ambient != self.ambient:
-                raise PreconditionError(
-                    f"pair over {pair.ambient} in a scheme over {self.ambient}"
-                )
-            if (pair.ones_mask | pair.zeros_mask) >> self.ambient:
-                raise PreconditionError(f"pair names an index outside 1..{self.ambient}")
-        if self.selector.ambient != len(self.pairs):
+    def __init__(self, ambient: int, pairs: Iterable[IndexPair], selector: IndexSet):
+        pairs = tuple(pairs)
+        ones, zeros = tuple([p.ones_mask for p in pairs]), tuple([p.zeros_mask for p in pairs])
+        self._fill(ambient, ones, zeros, selector, pairs)
+
+    @classmethod
+    def _of_columns(cls, ambient: int, ones_masks: tuple, zeros_masks: tuple, selector: IndexSet) -> "Scheme":
+        """Checked as the public constructor checks, a whole column at a time."""
+        scheme = object.__new__(cls)
+        scheme._fill(ambient, ones_masks, zeros_masks, selector)
+        return scheme
+
+    def _fill(self, ambient, ones_masks, zeros_masks, selector, pairs=()) -> None:
+        if ambient < 0:
+            raise PreconditionError(f"scheme ambient {ambient} is negative")
+        for pair in pairs:
+            if pair.ambient != ambient:
+                raise PreconditionError(f"pair over {pair.ambient} in a scheme over {ambient}")
+        if (reduce(or_, ones_masks, 0) | reduce(or_, zeros_masks, 0)) >> ambient:
+            raise PreconditionError(f"pair names an index outside 1..{ambient}")
+        if selector.ambient != len(ones_masks):
             raise PreconditionError("selector ambient must equal the number of pairs")
-        if self.selector.mask >> len(self.pairs):
-            raise PreconditionError(f"selector names a pair outside 1..{len(self.pairs)}")
+        if selector.mask >> len(ones_masks):
+            raise PreconditionError(f"selector names a pair outside 1..{len(ones_masks)}")
+        for name, value in zip(self.__slots__, (ambient, ones_masks, zeros_masks, selector)):
+            _set(self, name, value)
+
+    @property
+    def pairs(self) -> tuple[IndexPair, ...]:
+        return tuple([IndexPair(*masks, self.ambient) for masks in zip(self.ones_masks, self.zeros_masks)])
 
     @property
     def q(self) -> int:
-        return len(self.pairs)
+        return len(self.ones_masks)
 
     def selected_pairs(self) -> tuple[IndexPair, ...]:
-        return tuple(self.pairs[j - 1] for j in self.selector)
+        ones, zeros = self.ones_masks, self.zeros_masks
+        return tuple(IndexPair(ones[j - 1], zeros[j - 1], self.ambient) for j in self.selector)
 
 
-def _sorted_pairs(
-    ambient: int, masks: Iterable[tuple[int, int]], selected: Container[tuple[int, int]]
-) -> Scheme:
+def _sorted_pairs(ambient: int, masks: Iterable[tuple[int, int]], selected: Iterable) -> Scheme:
     """Scheme of the distinct (ones, zeros) masks in pair order, selecting
-    those in ``selected``.  Each distinct mask is keyed once."""
+    those in ``selected``.  Each distinct mask is ranked by ``lex_key``
+    once; pairs sort as the ints rank(ones) * R + rank(zeros)."""
     masks = set(masks)
-    key = {mask: lex_key(mask) for mask in set().union(*masks)}
-    ordered = sorted(masks, key=lambda p: (key[p[0]], key[p[1]]))
-    chosen = [k for k, pair in enumerate(ordered, 1) if pair in selected]
-    pairs = tuple(IndexPair(ones, zeros, ambient) for ones, zeros in ordered)
-    return Scheme(ambient, pairs, IndexSet(chosen, len(pairs)))
+    distinct = sorted(set().union(*masks), key=lex_key)
+    rank = {mask: r for r, mask in enumerate(distinct)}
+    width = len(distinct)
+    keys = sorted([rank[ones] * width + rank[zeros] for ones, zeros in masks])
+    picked = {rank[ones] * width + rank[zeros] for ones, zeros in selected}
+    ones, zeros = tuple([distinct[k // width] for k in keys]), tuple([distinct[k % width] for k in keys])
+    chosen = _mask_of([j for j, key in enumerate(keys, 1) if key in picked])
+    return Scheme._of_columns(ambient, ones, zeros, IndexSet.from_mask(chosen, len(keys)))
 
 
 def normalize_scheme(scheme: Scheme) -> Scheme:
@@ -196,8 +225,8 @@ def normalize_scheme(scheme: Scheme) -> Scheme:
     A merged pair is selected when any of its original copies was, which
     leaves both the DNF union and the CNF intersection unchanged.
     """
-    masks = [(p.ones_mask, p.zeros_mask) for p in scheme.pairs]
-    return _sorted_pairs(scheme.ambient, masks, {masks[j - 1] for j in scheme.selector})
+    masks = list(zip(scheme.ones_masks, scheme.zeros_masks))
+    return _sorted_pairs(scheme.ambient, masks, [masks[j - 1] for j in scheme.selector])
 
 
 def _format_members(mask: int) -> str:
@@ -217,11 +246,10 @@ _PAIR_LINE = re.compile(r"^G(\d+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 
 
 def format_scheme(scheme: Scheme) -> str:
-    masks = {mask for pair in scheme.pairs for mask in (pair.ones_mask, pair.zeros_mask)}
-    text = {mask: _format_members(mask) for mask in masks}
+    ones, zeros = scheme.ones_masks, scheme.zeros_masks
+    text = {mask: _format_members(mask) for mask in {*ones, *zeros}}
     lines = [f"N={scheme.ambient}"]
-    for k, pair in enumerate(scheme.pairs, 1):
-        lines.append(f"G{k}: ONES={text[pair.ones_mask]} ZEROS={text[pair.zeros_mask]}")
+    lines += [f"G{k}: ONES={text[o]} ZEROS={text[z]}" for k, (o, z) in enumerate(zip(ones, zeros), 1)]
     lines.append(f"J={_format_members(scheme.selector.mask)}")
     return "\n".join(lines) + "\n"
 
@@ -274,8 +302,9 @@ def parse_scheme_lines(
     if check_ambient is not None:
         check_ambient(ambient)
     mask = {text: _mask_of(indices) for text, indices in members.items()}
-    pairs = tuple(IndexPair(mask[ones], mask[zeros], ambient) for ones, zeros in texts)
-    return Scheme(ambient, pairs, IndexSet.from_mask(_mask_of(selector), len(pairs)))
+    ones = tuple([mask[text] for text, _ in texts])
+    zeros = tuple([mask[text] for _, text in texts])
+    return Scheme._of_columns(ambient, ones, zeros, IndexSet.from_mask(_mask_of(selector), len(texts)))
 
 
 def parse_scheme(text: str) -> Scheme:

@@ -12,21 +12,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from operator import and_
 from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
 from .feasibility import system_of_cell
 from .geometry import HalfSpace, Point, _rows, format_halfspace, parse_halfspace
-from .indexing import (
-    IndexPair,
-    IndexSet,
-    Scheme,
-    _members,
-    _sorted_pairs,
-    check_ground,
-    format_scheme,
-    parse_scheme_lines,
-)
+from .indexing import IndexPair, IndexSet, Scheme, _members, _sorted_pairs, check_ground, format_scheme
+from .indexing import parse_scheme_lines
 from .network import PerceptronLayer
 
 
@@ -62,9 +55,10 @@ class PresentedPolyhedron:
         if len(dims) != 1:
             raise DimensionError("half-spaces of mixed dimension")
         check_ground(self.scheme.ambient, len(self.halfspaces))
-        for j, pair in zip(self.scheme.selector, self.scheme.selected_pairs()):
-            if pair.ones_mask & pair.zeros_mask:
-                raise SchemeError(f"selected pair G{j} is inconsistent")
+        if any(map(and_, self.scheme.ones_masks, self.scheme.zeros_masks)):
+            for j, (ones, zeros) in zip(self.scheme.selector, self._selected_masks):
+                if ones & zeros:
+                    raise SchemeError(f"selected pair G{j} is inconsistent")
 
     @property
     def dimension(self) -> int:
@@ -82,7 +76,8 @@ class PresentedPolyhedron:
 
     @cached_property
     def _selected_masks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p.ones_mask, p.zeros_mask) for p in self.scheme.selected_pairs())
+        masks = tuple(zip(self.scheme.ones_masks, self.scheme.zeros_masks))
+        return tuple([masks[j - 1] for j in self.scheme.selector])
 
     def member(self, x: Point) -> int:
         mask = self._layer.point_mask(x)
@@ -218,7 +213,5 @@ def parse_bundle(text: str) -> PresentedPolyhedron:
         raise ParseError(f"unknown mode {value!r}", lineno)
     if not halfspaces:
         raise ParseError("bundle has no half-space lines", lineno)
-    scheme = parse_scheme_lines(
-        lines[lineno:], lineno + 1, lambda n: check_ground(n, len(halfspaces))
-    )
+    scheme = parse_scheme_lines(lines[lineno:], lineno + 1, lambda n: check_ground(n, len(halfspaces)))
     return PresentedPolyhedron(tuple(halfspaces), scheme, Mode(value))

@@ -14,20 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
 from .feasibility import _realizable, cell_witness
-from .forms import conj_unit, disj_unit
-from .geometry import HalfSpace, Point
-from .indexing import IndexPair, IndexSet, Scheme, check_ground, lex_key
+from .forms import _unit_form
+from .geometry import HalfSpace, InequalityKind, Point
+from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
 from .kernels import tail_accepted_set
-from .network import (
-    BitVector,
-    PerceptronNetwork,
-    bits_of_index,
-    layer_of,
-)
+from .network import BitVector, PerceptronNetwork, bits_of_index, layer_of
 
 DEFAULT_ENUM_CAP = 20
 
@@ -63,34 +59,31 @@ class EquivalenceResult:
     counterexample_point: Optional[Point] = None
 
 
-def _synthesize(halfspaces, scheme, pair_unit, selector_unit) -> PerceptronNetwork:
+def _synthesize(halfspaces, scheme, conj: bool) -> PerceptronNetwork:
     check_ground(scheme.ambient, len(halfspaces))
     if scheme.selector.is_empty:
         raise SchemeError("empty selector")
-    for k, pair in enumerate(scheme.pairs, 1):
-        if pair.is_empty:
+    units = []
+    for k, (ones, zeros) in enumerate(zip(scheme.ones_masks, scheme.zeros_masks), 1):
+        if not ones | zeros:
             raise SchemeError(f"pair G{k} is empty and has no unit form")
-        if not pair.is_consistent():
+        if ones & zeros:
             raise SchemeError(f"pair G{k} is inconsistent")
-    selector = selector_unit(IndexPair(scheme.selector.mask, 0, scheme.q))
-    units = (halfspaces, map(pair_unit, scheme.pairs), (selector,))
-    return PerceptronNetwork(tuple(map(layer_of, units)))
+        units.append(HalfSpace(_unit_form(ones, zeros, scheme.ambient, conj), InequalityKind.LAX))
+    selector = HalfSpace(_unit_form(scheme.selector.mask, 0, scheme.q, not conj), InequalityKind.LAX)
+    return PerceptronNetwork(tuple(map(layer_of, (halfspaces, units, (selector,)))))
 
 
-def build_dnf_network(
-    halfspaces: Sequence[HalfSpace], scheme: Scheme
-) -> PerceptronNetwork:
+def build_dnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
     """3-layer network computing the union over the selector of the
     scheme's cells: half-spaces, then AND units, then one OR unit."""
-    return _synthesize(halfspaces, scheme, conj_unit, disj_unit)
+    return _synthesize(halfspaces, scheme, True)
 
 
-def build_cnf_network(
-    halfspaces: Sequence[HalfSpace], scheme: Scheme
-) -> PerceptronNetwork:
+def build_cnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
     """Dual synthesis: OR units per pair, one AND unit over the selector,
     computing the intersection of the scheme's cocells."""
-    return _synthesize(halfspaces, scheme, disj_unit, conj_unit)
+    return _synthesize(halfspaces, scheme, False)
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:
@@ -100,26 +93,30 @@ def pair_of_bits(g: int, n_bits: int) -> IndexPair:
 
 def _require_single_output(network: PerceptronNetwork) -> None:
     if not network.is_single_output:
-        raise PreconditionError(
-            f"network has {network.output_dim} outputs, expected 1"
-        )
+        raise PreconditionError(f"network has {network.output_dim} outputs, expected 1")
 
 
 def _accepted_indices(network: PerceptronNetwork, cap: int) -> list[int]:
     n1 = network.layers[0].output_dim
     if n1 > cap:
-        raise SizeCapError(
-            f"first layer emits {n1} bits; enumeration cap is {cap}"
-        )
+        raise SizeCapError(f"first layer emits {n1} bits; enumeration cap is {cap}")
     if network.depth == 1:
         return [1]
     return tail_accepted_set(network.layers[1:], n1)
 
 
+def _lex_order(n: int) -> list[int]:
+    """Every mask below ``1 << n`` in ``lex_key`` order: over indices k..n,
+    the empty set, then k joined to each set over k+1..n, then the
+    nonempty sets over k+1..n."""
+    order = [0]
+    for i in reversed(range(n)):
+        order = [0, *[1 << i | mask for mask in order], *order[1:]]
+    return order
+
+
 def extract_scheme(
-    network: PerceptronNetwork,
-    prune: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
+    network: PerceptronNetwork, prune: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> ExtractionReport:
     """Present the network's accepted set as a union of first-layer cells.
 
@@ -131,10 +128,15 @@ def extract_scheme(
     _require_single_output(network)
     n1 = network.layers[0].output_dim
     accepted = _accepted_indices(network, cap)
-    # a full pair's zeros follow from its ones, so the ones alone order it
-    accepted.sort(key=lex_key)
-    pairs = tuple([pair_of_bits(g, n1) for g in accepted])
-    scheme = Scheme(n1, pairs, IndexSet.from_mask((1 << len(pairs)) - 1, len(pairs)))
+    flags = bytearray(1 << n1)
+    for g in accepted:
+        flags[g] = 1
+    # a full pair's zeros are the complement of its ones, so the ones alone order it
+    order = _lex_order(n1)
+    ones = tuple(compress(order, map(flags.__getitem__, order)))
+    full = (1 << n1) - 1
+    zeros = tuple([full ^ g for g in ones])
+    scheme = Scheme._of_columns(n1, ones, zeros, IndexSet.from_mask((1 << len(ones)) - 1, len(ones)))
     if prune:
         scheme = prune_empty_cells(network.layers[0].units, scheme)
     return ExtractionReport(
@@ -146,9 +148,7 @@ def extract_scheme(
 
 
 def normalize_three_layers(
-    network: PerceptronNetwork,
-    permit_constant: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
+    network: PerceptronNetwork, permit_constant: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> PerceptronNetwork | ConstantNetwork:
     """Equivalent 3-layer network with the identical first layer.
 
@@ -170,29 +170,21 @@ def _check_prune_ground(ambient: int, count: int) -> None:
         raise PreconditionError(f"scheme over {ambient} with {count} half-spaces")
 
 
-def prune_empty_cells(
-    halfspaces: Sequence[HalfSpace], scheme: Scheme
-) -> Scheme:
+def prune_empty_cells(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
     _check_prune_ground(scheme.ambient, len(halfspaces))
-    chosen = scheme.selector.mask
-    pairs = [(k, p.ones_mask, p.zeros_mask) for k, p in enumerate(scheme.pairs) if chosen >> k & 1]
-    realizable = set(_realizable(halfspaces, pairs))
-    keep: list[IndexPair] = []
-    selected = 0
-    for k, pair in enumerate(scheme.pairs):
-        bit = chosen >> k & 1
-        if bit and k not in realizable:
-            continue
-        selected |= bit << len(keep)
-        keep.append(pair)
-    return Scheme(scheme.ambient, tuple(keep), IndexSet.from_mask(selected, len(keep)))
+    ones, zeros, chosen = scheme.ones_masks, scheme.zeros_masks, scheme.selector.members
+    entries = [(j, ones[j - 1], zeros[j - 1]) for j in chosen]
+    chosen = set(chosen)
+    empty = chosen.difference(_realizable(halfspaces, entries))
+    keep = [j for j in range(1, scheme.q + 1) if j not in empty]
+    selector = IndexSet.from_mask(_mask_of([k for k, j in enumerate(keep, 1) if j in chosen]), len(keep))
+    kept = tuple([ones[j - 1] for j in keep]), tuple([zeros[j - 1] for j in keep])
+    return Scheme._of_columns(scheme.ambient, *kept, selector)
 
 
 def _random_point(rng: random.Random, dim: int) -> Point:
-    return tuple(
-        Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(dim)
-    )
+    return tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(dim))
 
 
 def check_equivalence(
@@ -214,28 +206,19 @@ def check_equivalence(
     _require_single_output(left)
     _require_single_output(right)
     if left.input_dim != right.input_dim:
-        raise DimensionError(
-            f"input dimensions differ: {left.input_dim} vs {right.input_dim}"
-        )
+        raise DimensionError(f"input dimensions differ: {left.input_dim} vs {right.input_dim}")
     if mode == "sampled":
         rng = random.Random(seed)
         for count in range(1, samples + 1):
             x = _random_point(rng, left.input_dim)
             if left.forward(x) != right.forward(x):
-                return EquivalenceResult(
-                    equivalent=False,
-                    mode=mode,
-                    checked=count,
-                    counterexample_point=x,
-                )
+                return EquivalenceResult(equivalent=False, mode=mode, checked=count, counterexample_point=x)
         return EquivalenceResult(equivalent=True, mode=mode, checked=samples)
     if mode != "exact":
         raise PreconditionError(f"unknown equivalence mode {mode!r}")
     if left.layers[0] != right.layers[0]:
-        raise PreconditionError(
-            "exact mode compares tails over a shared first layer; "
-            "these first layers differ"
-        )
+        message = "exact mode compares tails over a shared first layer; these first layers differ"
+        raise PreconditionError(message)
     n1 = left.layers[0].output_dim
     accepted_left = set(_accepted_indices(left, cap))
     accepted_right = set(_accepted_indices(right, cap))
@@ -244,11 +227,7 @@ def check_equivalence(
     full = (1 << n1) - 1
     differing = [(g, g, full ^ g) for g in sorted(accepted_left ^ accepted_right)]
     for g in _realizable(halfspaces, differing):
-        return EquivalenceResult(
-            equivalent=False,
-            mode=mode,
-            checked=checked,
-            counterexample_bits=bits_of_index(g, n1),
-            counterexample_point=cell_witness(halfspaces, pair_of_bits(g, n1)),
-        )
+        point = cell_witness(halfspaces, pair_of_bits(g, n1))
+        bits = bits_of_index(g, n1)
+        return EquivalenceResult(False, mode, checked, counterexample_bits=bits, counterexample_point=point)
     return EquivalenceResult(equivalent=True, mode=mode, checked=checked)

@@ -98,13 +98,19 @@ def test_scheme_rejects_selector_masks_past_the_pairs(mask):
 @pytest.mark.parametrize(
     "pairs, selector",
     [
-        ((IndexPair(0, 0, -1),), IndexSet.of([1], 1)),
+        ((IndexPair(0, 0, 2),), IndexSet.of([1], 1)),
         ((), IndexSet.of([], 0)),
     ],
 )
 def test_scheme_rejects_a_negative_ambient(pairs, selector):
     with pytest.raises(PreconditionError, match="ambient -1 is negative"):
         Scheme(-1, pairs, selector)
+
+
+@pytest.mark.parametrize("build", [lambda: IndexPair(0, 0, -1), lambda: IndexSet.from_mask(0, -1)])
+def test_pairs_and_mask_sets_reject_a_negative_ambient(build):
+    with pytest.raises(ValueError, match="non-negative"):
+        build()
 
 
 def test_scheme_selected_pairs():
@@ -299,3 +305,56 @@ def test_scheme_round_trip_is_byte_identical(s):
     text = format_scheme(s)
     assert parse_scheme(text) == s
     assert format_scheme(parse_scheme(text)) == text
+
+
+def of_columns(ambient, pairs, selector):
+    """The private column constructor, fed the masks of ``pairs``."""
+    ones = tuple(pair.ones_mask for pair in pairs)
+    return Scheme._of_columns(ambient, ones, tuple(pair.zeros_mask for pair in pairs), selector)
+
+
+# (ambient, pairs, selector, message); each fault alone in an otherwise valid scheme
+SCHEME_FAULTS = [
+    (2, (IndexPair(0b101, 0, 2),), IndexSet.of([1], 1), "pair names an index outside 1..2"),
+    (2, (IndexPair(0, 0, 2), IndexPair(0, 0b100, 2)), IndexSet.of([1], 2), "pair names an index outside 1..2"),
+    (2, (IndexPair(0, -2, 2),), IndexSet.of([1], 1), "pair names an index outside 1..2"),
+    (2, (IndexPair(1, 0, 2),), IndexSet.of([1], 3), "selector ambient must equal the number of pairs"),
+    (2, (), IndexSet.of([1], 1), "selector ambient must equal the number of pairs"),
+    (2, (IndexPair(1, 0, 2),), IndexSet.from_mask(0b10, 1), "selector names a pair outside 1..1"),
+    (2, (IndexPair(1, 0, 2),), IndexSet.from_mask(-1, 1), "selector names a pair outside 1..1"),
+    (-1, (), IndexSet.of([], 0), "scheme ambient -1 is negative"),
+]
+
+
+@pytest.mark.parametrize("build", [Scheme, of_columns], ids=["pairs", "columns"])
+@pytest.mark.parametrize(
+    "ambient, pairs, selector, message",
+    SCHEME_FAULTS,
+    ids=["index-past-ambient", "later-pair-past-ambient", "negative-mask", "selector-too-wide",
+         "selector-without-pairs", "selector-bit-past-q", "negative-selector", "negative-ambient"],
+)
+def test_both_scheme_constructors_raise_the_same_errors(build, ambient, pairs, selector, message):
+    with pytest.raises(PreconditionError) as info:
+        build(ambient, pairs, selector)
+    assert str(info.value) == message
+
+
+def test_scheme_refuses_a_pair_over_another_ambient():
+    # columns hold no per-pair ambient, so only the public constructor can see this
+    with pytest.raises(PreconditionError, match="^pair over 3 in a scheme over 2$"):
+        Scheme(2, (IndexPair(1, 0, 2), IndexPair(1, 0, 3)), IndexSet.of([1], 2))
+
+
+@hypothesis.given(raw_schemes())
+def test_column_form_round_trips(s):
+    """A scheme is its columns: rebuilding it from its ``pairs`` view, or
+    from its text, gives an equal scheme with an equal hash, and its
+    normal form is a fixed point that agrees with the sort_key reference."""
+    for again in (Scheme(s.ambient, s.pairs, s.selector), of_columns(s.ambient, s.pairs, s.selector),
+                  parse_scheme(format_scheme(s))):
+        assert again == s and hash(again) == hash(s)
+    assert s.pairs == tuple(IndexPair(o, z, s.ambient) for o, z in zip(s.ones_masks, s.zeros_masks))
+    assert s.selected_pairs() == tuple(s.pairs[j - 1] for j in s.selector)
+    norm = normalize_scheme(s)
+    assert normalize_scheme(norm) == norm == normalized_by_reference(s)
+    assert hash(normalize_scheme(norm)) == hash(norm)

@@ -10,15 +10,20 @@ its fault, so the line it names counts blank lines too.
 import contextlib
 import io
 import random
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
+    Mode,
     ParseError,
+    PolypercError,
+    PresentedPolyhedron,
     format_bundle,
     format_halfspace,
     format_network,
@@ -29,6 +34,7 @@ from polyperc import (
     parse_network,
     parse_scheme,
 )
+from polyperc import cli
 from polyperc.cli import console_main
 
 import randgen
@@ -160,3 +166,86 @@ def test_padded_points_file_gives_the_same_eval_output(rng):
         expected = eval_stdout(network, plain)
         assert expected[0] == 0 and expected[1].count("\n") == len(points)
         assert eval_stdout(network, padded) == expected
+
+
+# every character at which str.splitlines, and so every reader, ends a
+# line; the README's format section lists the same ones
+LINE_ENDS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_readers_end_lines_where_str_splitlines_does():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(piece[-1] for piece in every.splitlines(True)[:-1]) == LINE_ENDS
+    assert parse_network("LAYERS=1\x0cLAYER 1 1\n0 1 >=\n") == parse_network("LAYERS=1\nLAYER 1 1\n0 1 >=\n")
+    for end in LINE_ENDS:
+        with pytest.raises(ParseError) as info:
+            parse_network(f"LAYERS=1{end}LAYER 1 1\n0 1 =>\n")
+        # the text has two lines for an editor, three for the reader
+        assert info.value.line == 3
+
+
+def points_text(rng, dim=2):
+    return "".join(" ".join(map(format_rational, randgen.point(rng, dim))) + "\n" for _ in range(rng.randint(1, 4)))
+
+
+def read_points_text(text):
+    """The CLI's points reader for two-coordinate points, on a text."""
+    with mock.patch.object(cli, "_read", lambda path: text):
+        return cli._read_points("points", 2)
+
+
+def bundle_text(rng):
+    n = rng.randint(1, 4)
+    presented = PresentedPolyhedron(randgen.halfspaces(rng, n, 2), randgen.scheme(rng, n), rng.choice(list(Mode)))
+    return format_bundle(presented)
+
+
+def halfspace_lines(halfspaces):
+    return "".join(format_halfspace(h) + "\n" for h in halfspaces)
+
+
+# format: (a valid text from a seeded rng, reader, writer)
+FUZZED = {
+    "network": (lambda rng: format_network(randgen.network(rng, rng.randint(1, 2), 2, 3)), parse_network, format_network),
+    "scheme": (lambda rng: format_scheme(randgen.scheme(rng, rng.randint(1, 5), 4)), parse_scheme, format_scheme),
+    "bundle": (bundle_text, parse_bundle, format_bundle),
+    "halfspaces": (
+        lambda rng: halfspace_lines(randgen.halfspaces(rng, rng.randint(1, 4), 2)),
+        lambda text: parse_halfspace_block(text.splitlines()),
+        halfspace_lines,
+    ),
+    "points": (points_text, read_points_text, lambda points: "".join(" ".join(map(format_rational, x)) + "\n" for x in points)),
+}
+
+# characters the formats are made of, a line end and one that none uses
+EDIT_CHARS = "0123456789-+,/.e =>:GNJLAYERSMODCFZ\n\t\x0c#"
+
+
+@strat.composite
+def edited(draw, text):
+    """``text`` after one to three single-character inserts, deletions
+    or replacements."""
+    chars = list(text)
+    for _ in range(draw(strat.integers(1, 3))):
+        at = draw(strat.integers(0, len(chars)))
+        end = at + draw(strat.sampled_from([0, 1]))
+        chars[at:end] = draw(strat.sampled_from(["", *EDIT_CHARS]))
+    return "".join(chars)
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(strat.sampled_from(sorted(FUZZED)), rngs, strat.data())
+def test_edited_text_gives_a_value_or_a_polyperc_error(kind, rng, data):
+    """Every reader either returns a value that survives format -> parse,
+    or raises a ``PolypercError`` subclass, on texts a few edits away from
+    valid ones.  Edits this small keep every index list short, so this
+    does not reach the documented case of a scheme naming a huge index
+    under a huge ``N=`` (README "A scheme's mask is as wide as its largest
+    index"), which stays open."""
+    make, read, write = FUZZED[kind]
+    text = data.draw(edited(make(rng)))
+    try:
+        value = read(text)
+    except PolypercError:
+        return
+    assert read(write(value)) == value
