@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SchemeError
+from .errors import PreconditionError, SchemeError
 from .geometry import HalfSpace, InequalityKind, LinearForm
 from .indexing import IndexPair, IndexSet
 
@@ -22,6 +22,8 @@ HALF = Fraction(1, 2)
 
 def _weights(ones: int, zeros: int, ambient: int) -> tuple[Fraction, ...]:
     """Weight 1 on each ones index, -1 on each zeros index, 0 elsewhere."""
+    if (ones | zeros) >> ambient:
+        raise PreconditionError(f"pair names an index outside 1..{ambient}")
     return tuple(ONE if ones >> i & 1 else MINUS_ONE if zeros >> i & 1 else ZERO for i in range(ambient))
 
 

@@ -25,8 +25,8 @@ Point = tuple[Fraction, ...]
 # magnitude of a decimal exponent as digits too (``1e5000`` counts 5001).
 MAX_DIGITS = 100_000
 
-# the forms ``Fraction`` reads, minus underscores
-_LONG_RATIONAL = re.compile(
+# an integer, ``p/q``, or a decimal with an optional exponent, in ASCII digits
+_RATIONAL = re.compile(
     r"\s*(?:(?P<decimal>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<num>[+-]?\d+)/(?P<den>\d+))\s*",
     re.ASCII,
@@ -44,35 +44,23 @@ def _digit_count(text: str) -> int:
     return count
 
 
-def _long_rational(text: str) -> Fraction:
-    """``Fraction(text)`` for digit runs past the interpreter's int-string
-    digit limit, which ``Fraction`` reads through ``int(str)``; ``Decimal``
-    converts a digit run of any length exactly."""
-    match = _LONG_RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"invalid literal for Fraction: {text!r}")
-    if match["decimal"] is not None:
-        return Fraction(Decimal(match["decimal"]))
-    return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse an integer (``7``), a fraction (``-3/2``) or a decimal (``0.25``).
 
     Any value written with at most :data:`MAX_DIGITS` digits is read
-    exactly, however long its digit runs.
+    exactly through ``Decimal``, past the int-string digit limit.
     """
     if (len(text) > MAX_DIGITS or "e" in text or "E" in text) and _digit_count(
         text
     ) > MAX_DIGITS:
         raise ParseError(f"rational with more than {MAX_DIGITS} digits")
-    try:
-        try:
-            return Fraction(text)
-        except ValueError:
-            return _long_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        if match["decimal"] is not None:
+            return Fraction(Decimal(match["decimal"]))
+        if match["den"].strip("0"):
+            return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
+    raise ParseError(f"bad rational {text!r}")
 
 
 def _int_text(n: int) -> str:
@@ -230,6 +218,14 @@ def _rows(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, st
     """``(line number, stripped text)`` of each non-blank line, counting from ``first_lineno``."""
     stripped = enumerate(map(str.strip, lines), first_lineno)
     return ((lineno, line) for lineno, line in stripped if line)
+
+
+def _count(text: str) -> int | None:
+    """An unsigned run of ASCII digits as an int; None for any other text."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # a run past the interpreter's int-string digit limit
+        return None
 
 
 def parse_halfspace_block(lines: Iterable[str]) -> tuple[HalfSpace, ...]:

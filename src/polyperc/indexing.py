@@ -19,7 +19,7 @@ from operator import lt, or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError
-from .geometry import _rows
+from .geometry import _count, _rows
 
 _set = object.__setattr__
 _MEMBERS_FIRST = str.maketrans("01", "10")
@@ -234,15 +234,16 @@ def _format_members(mask: int) -> str:
 
 
 def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
-    if text == "-":
-        return ()
+    members = () if text == "-" else tuple(map(_count, text.split(",")))
+    if None in members:
+        raise ParseError(f"bad index list {text!r}", lineno)
     try:
-        return _checked((int(part) for part in text.split(",")), ambient)
+        return _checked(members, ambient)
     except ValueError as exc:
         raise ParseError(f"bad index list {text!r}: {exc}", lineno) from exc
 
 
-_PAIR_LINE = re.compile(r"^G(\d+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
+_PAIR_LINE = re.compile(r"^G([0-9]+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 
 
 def format_scheme(scheme: Scheme) -> str:
@@ -271,10 +272,9 @@ def parse_scheme_lines(
         raise ParseError("empty scheme block", lineno)
     if not header.startswith("N="):
         raise ParseError("scheme block must start with N=<n>", lineno)
-    try:
-        ambient = int(header[2:])
-    except ValueError as exc:
-        raise ParseError(f"bad ambient {header[2:]!r}", lineno) from exc
+    ambient = _count(header[2:])
+    if ambient is None:
+        raise ParseError(f"bad ambient {header[2:]!r}", lineno)
     if ambient < 1:
         raise ParseError("scheme ambient must be positive", lineno)
 
@@ -291,7 +291,7 @@ def parse_scheme_lines(
         match = _PAIR_LINE.match(line)
         if not match:
             raise ParseError(f"bad scheme line {line!r}", lineno)
-        if int(match.group(1)) != len(texts) + 1:
+        if _count(match.group(1)) != len(texts) + 1:
             raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
         texts.append(match.group(2, 3))
         for text in texts[-1]:

@@ -24,6 +24,7 @@ from .geometry import (
     HalfSpace,
     InequalityKind,
     Point,
+    _count,
     _rows,
     format_halfspace,
     parse_halfspace,
@@ -146,7 +147,7 @@ def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
     return (network.input_dim,) + tuple(l.output_dim for l in network.layers)
 
 
-_LAYER_LINE = re.compile(r"^LAYER (\d+) (\d+)$")
+_LAYER_LINE = re.compile(r"^LAYER ([0-9]+) ([0-9]+)$")
 
 
 def format_network(network: PerceptronNetwork) -> str:
@@ -164,10 +165,9 @@ def parse_network(text: str) -> PerceptronNetwork:
     head_lineno, head = rows[0]
     if not head.startswith("LAYERS="):
         raise ParseError("expected LAYERS=<k> header", head_lineno)
-    try:
-        count = int(head[len("LAYERS=") :])
-    except ValueError:
-        raise ParseError("bad layer count", head_lineno) from None
+    count = _count(head[len("LAYERS=") :])
+    if count is None:
+        raise ParseError("bad layer count", head_lineno)
     if count < 1:
         raise ParseError("layer count must be at least 1", head_lineno)
 
@@ -178,9 +178,9 @@ def parse_network(text: str) -> PerceptronNetwork:
             raise ParseError("missing LAYER block", rows[-1][0])
         lineno, line = rows[pos]
         match = _LAYER_LINE.match(line)
-        if match is None:
+        in_dim, out_dim = map(_count, match.groups()) if match else (None, None)
+        if in_dim is None or out_dim is None:
             raise ParseError("expected LAYER <in> <out> line", lineno)
-        in_dim, out_dim = int(match.group(1)), int(match.group(2))
         pos += 1
         units = []
         for _ in range(out_dim):

@@ -208,6 +208,8 @@ def check_equivalence(
     if left.input_dim != right.input_dim:
         raise DimensionError(f"input dimensions differ: {left.input_dim} vs {right.input_dim}")
     if mode == "sampled":
+        if samples < 1:
+            raise PreconditionError(f"sampled mode needs a positive sample count, got {samples}")
         rng = random.Random(seed)
         for count in range(1, samples + 1):
             x = _random_point(rng, left.input_dim)

@@ -473,6 +473,23 @@ def test_unknown_subcommand_is_argparse_error(files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equiv", "a", "b", "--seed", "-1"], "argument --seed: seed must fit in 64 unsigned bits"),
+        (["extract", "n", "--cap", "0"], "argument --cap: must be a positive integer"),
+        (["equiv", "a", "b", "--samples", "0"], "argument --samples: must be a positive integer"),
+    ],
+    ids=["seed", "cap", "samples"],
+)
+def test_bad_option_value_is_argparse_error(argv, message, capsys):
+    # refused before any file is read, so the files need not exist
+    with pytest.raises(SystemExit) as exc:
+        console_main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def declared_script(name):
     """The entry point of console script `name`, or None if nothing declares it.
 

@@ -123,6 +123,12 @@ def test_system_of_cell_rejects_masks_outside_ambient(pair):
         system_of_cell(hs, pair)
 
 
+def test_system_of_cell_rejects_a_pair_of_another_width():
+    hs = (parse_halfspace("0 1 >="),)
+    with pytest.raises(PreconditionError, match="^pair over 2 half-spaces applied to 1$"):
+        system_of_cell(hs, IndexPair.of([1], [2], 2))
+
+
 def test_cell_is_empty_golden():
     hs = (parse_halfspace("0 1 >="), parse_halfspace("1 -1 >="))
     # inside the slab both constraints can hold together

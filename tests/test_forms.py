@@ -9,6 +9,7 @@ import pytest
 from polyperc import (
     IndexPair,
     IndexSet,
+    PreconditionError,
     SchemeError,
     adder,
     conj_form,
@@ -81,6 +82,22 @@ def test_unit_forms_reject_bad_pairs(build):
         build(IndexPair.of([], [], 3))
     with pytest.raises(SchemeError):
         build(IndexPair.of([1], [1], 3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: conj_form(IndexPair(0b100, 0, 2)),
+        lambda: disj_form(IndexPair(0, 0b1000, 2)),
+        lambda: adder(IndexSet.from_mask(0b111, 1)),
+        lambda: conj_unit(IndexPair(0b100, 0, 2)),
+    ],
+    ids=["conj_form", "disj_form", "adder", "conj_unit"],
+)
+def test_forms_reject_a_mask_past_the_ambient(build):
+    # such a mask would drop its outer indices and leave a constant form
+    with pytest.raises(PreconditionError, match=r"^pair names an index outside 1\.\.[12]$"):
+        build()
 
 
 @hypothesis.given(strat.data())

@@ -107,7 +107,9 @@ def test_scheme_rejects_a_negative_ambient(pairs, selector):
         Scheme(-1, pairs, selector)
 
 
-@pytest.mark.parametrize("build", [lambda: IndexPair(0, 0, -1), lambda: IndexSet.from_mask(0, -1)])
+@pytest.mark.parametrize(
+    "build", [lambda: IndexPair(0, 0, -1), lambda: IndexSet.from_mask(0, -1), lambda: IndexSet([], -1)]
+)
 def test_pairs_and_mask_sets_reject_a_negative_ambient(build):
     with pytest.raises(ValueError, match="non-negative"):
         build()

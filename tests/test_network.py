@@ -48,6 +48,11 @@ def test_layer_rejects_empty():
         layer_of([])
 
 
+def test_network_rejects_no_layers():
+    with pytest.raises(PreconditionError, match="^network needs at least one layer$"):
+        PerceptronNetwork(())
+
+
 def test_layer_rejects_mixed_dimensions():
     with pytest.raises(DimensionError):
         layer_of([parse_halfspace("0 1 >="), parse_halfspace("0 1 1 >=")])

@@ -116,6 +116,76 @@ def test_every_parser_error_names_its_line(reader, text, error, line, message, t
     assert (exc.value.line, exc.value.message) == (line, message)
 
 
+# every number field: its name, then (reader, a text with {} where the
+# number goes, after blank lines, and the message that refuses it)
+RATIONAL_FIELDS = {
+    "half-space": ("halfspaces", "\n\n0 {} >=\n", "bad rational {number!r}"),
+    "point": ("points", "\n\n1 {}\n", "bad rational {number!r}"),
+}
+COUNT_FIELDS = {
+    "LAYERS=": ("network", "\n\nLAYERS={}\nLAYER 1 1\n0 1 >=\n", "bad layer count"),
+    "LAYER-in": ("network", "LAYERS=1\n\nLAYER {} 1\n0 1 >=\n", "expected LAYER <in> <out> line"),
+    "LAYER-out": ("network", "LAYERS=1\n\nLAYER 1 {}\n0 1 >=\n", "expected LAYER <in> <out> line"),
+    "N=": ("scheme", "\n\nN={}\nG1: ONES=1 ZEROS=-\nJ=1\n", "bad ambient {number!r}"),
+    "G<k>": ("scheme", "N=1\n\nG{}: ONES=1 ZEROS=-\nJ=1\n", "bad scheme line {line!r}"),
+    "J=": ("scheme", "N=1\nG1: ONES=1 ZEROS=-\n\nJ={}\n", "bad index list {number!r}"),
+}
+
+
+def foreign(digits):
+    """A number of ``digits`` digits with an underscore, one ending in an
+    Arabic-Indic digit and one ending in a fullwidth digit; Python's
+    ``int`` and ``Fraction`` read all three."""
+    ones = "1" * (digits - 1)
+    return [ones[1:] + "1_0", ones + "١", ones + "１"]
+
+
+SPELLINGS = {"_": "underscore", "١": "arabic-indic", "１": "fullwidth", "+": "sign", " ": "space"}
+
+
+def number_line(template):
+    return template[: template.index("{}")].count("\n") + 1
+
+
+def number_cases(fields, numbers):
+    """One case per field and number, named by the field, the foreign
+    character and the digit count, such as ``N=-sign-1``."""
+    return [
+        pytest.param(*field, number, id=f"{name}-{SPELLINGS[kind]}-{sum(map(str.isdigit, number))}")
+        for name, field in fields.items()
+        for number in numbers
+        for kind in SPELLINGS
+        if kind in number
+    ]
+
+
+@pytest.mark.parametrize(
+    "reader, template, message, number",
+    # a rational at 3 digits and past the int-string digit limit
+    number_cases(RATIONAL_FIELDS, foreign(3) + foreign(5001))
+    + number_cases(COUNT_FIELDS, foreign(2) + ["+1", " 1"]),
+)
+def test_every_number_field_takes_ascii_digits_only(reader, template, message, number, tmp_path, capsys):
+    text = template.format(number)
+    with pytest.raises(ParseError) as exc:
+        if reader == "points":
+            read_points(text, tmp_path, capsys)
+        else:
+            READERS[reader](text)
+    lineno = number_line(template)
+    line = text.splitlines()[lineno - 1].strip()
+    assert (exc.value.line, exc.value.message) == (lineno, message.format(number=number, line=line))
+
+
+@pytest.mark.parametrize("reader, template, message", COUNT_FIELDS.values(), ids=list(COUNT_FIELDS))
+def test_a_count_past_the_int_string_digit_limit_is_refused_at_its_line(reader, template, message):
+    # int() refuses 5001 digits under the default limit of 4300, and no
+    # writer could print such a count back
+    with pytest.raises(ParseError) as exc:
+        READERS[reader](template.format("1" * 5001))
+    assert exc.value.line == number_line(template)
+
+
 @hypothesis.given(schemes(), rngs)
 def test_padded_scheme_parses_to_the_same_value(scheme, rng):
     text = format_scheme(scheme)

@@ -332,6 +332,13 @@ def test_equivalence_sampled(ground):
         check_equivalence(left, right, mode="fuzzy")
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_equivalence_sampled_needs_a_positive_sample_count(ground, samples):
+    net = build_dnf_network(ground, and_scheme())
+    with pytest.raises(PreconditionError, match="positive sample count"):
+        check_equivalence(net, net, mode="sampled", samples=samples)
+
+
 def test_equivalence_enumeration_cap(ground):
     left = build_dnf_network(ground, and_scheme())
     right = build_dnf_network(ground, or_scheme())
