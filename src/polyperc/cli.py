@@ -24,7 +24,7 @@ from .feasibility import (
     InequalitySystem,
     witness,
 )
-from .geometry import _rows, format_point, parse_halfspace_block, parse_point
+from .geometry import _count, _rows, format_point, parse_halfspace_block, parse_point
 from .indexing import check_ground, format_scheme, parse_scheme_lines
 from .network import format_network, parse_network
 from .polyhedra import (
@@ -70,15 +70,15 @@ def _read_points(path: str, dimension: int):
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
+    value = _count(text)
+    if value is None or value >= 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    value = _count(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 

@@ -1,13 +1,13 @@
 """Exact emptiness decision for systems of strict and lax linear inequalities.
 
-Variable elimination on integer rows: each constraint enters as its form
-times the positive lcm of its denominators (:meth:`LinearForm.lowered`),
-which keeps its sign.  Each round removes the highest remaining
-coordinate by combining every lower bound with every upper bound.  A
-combined constraint is strict when either parent is, which is what keeps
-open and closed half-spaces apart without any perturbation.  Witness
-points come from back-substitution through the recorded bounds, the only
-step that divides.
+Variable elimination on the integer rows a layer also holds per unit
+(:func:`geometry._row`): each constraint is its form times the positive
+lcm of its denominators, which keeps its sign.  Each round removes the
+highest remaining coordinate by combining every lower bound with every
+upper bound.  A combined constraint is strict when either parent is,
+which is what keeps open and closed half-spaces apart without any
+perturbation.  Witness points come from back-substitution through the
+recorded bounds, the only step that divides.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
-from .geometry import HalfSpace, InequalityKind, LinearForm, Point
+from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _holds, _row
 from .indexing import IndexPair, _members
 
 DEFAULT_CONSTRAINT_CAP = 2000
 
 Constraint = tuple[LinearForm, InequalityKind]
 
-# internal triple: (strict, bias, coefficient tuple), all integers
-_Triple = tuple[bool, int, tuple[int, ...]]
 # bound on one variable: (strict, bias, head coefficients, pivot coefficient)
 _Bound = tuple[bool, int, tuple[int, ...], int]
 
@@ -75,16 +73,16 @@ def _violated_constant(strict: bool, bias: int) -> bool:
     return bias < 0 or (strict and bias == 0)
 
 
-def _dedup(triples: list[_Triple]) -> list[_Triple]:
+def _dedup(rows: list[Row]) -> list[Row]:
     """Keep only the tightest constraint per direction, in first-seen order.
 
     Rows are keyed by their primitive direction ``coeffs // g``, with g
     the gcd of the coefficients; among rows with one key, a smaller
     ``bias / g`` is tighter, and strict beats lax at the same value.
     """
-    best: dict[tuple[int, ...], tuple[int, _Triple]] = {}
-    for triple in triples:
-        strict, bias, coeffs = triple
+    best: dict[tuple[int, ...], tuple[int, Row]] = {}
+    for row in rows:
+        strict, bias, coeffs = row
         # constants are handled by the caller; they share the zero key
         g = math.gcd(*coeffs) or 1
         key = tuple(c // g for c in coeffs)
@@ -94,12 +92,12 @@ def _dedup(triples: list[_Triple]) -> list[_Triple]:
             lhs, rhs = bias * g_kept, bias_kept * g
             if not (lhs < rhs or (lhs == rhs and strict and not strict_kept)):
                 continue
-        best[key] = (g, triple)
-    return [triple for _, triple in best.values()]
+        best[key] = (g, row)
+    return [row for _, row in best.values()]
 
 
 def _eliminate(
-    triples: list[_Triple], dimension: int, cap: int
+    rows: list[Row], dimension: int, cap: int
 ) -> tuple[bool, list[tuple[list[_Bound], list[_Bound]]]]:
     """Run elimination from the last coordinate down to the first.
 
@@ -107,11 +105,11 @@ def _eliminate(
     upper bounds it was subject to (each over the remaining prefix).
     """
     stages: list[tuple[list[_Bound], list[_Bound]]] = []
-    current = triples
+    current = rows
     for d in range(dimension, 0, -1):
         lowers: list[_Bound] = []
         uppers: list[_Bound] = []
-        passthrough: list[_Triple] = []
+        passthrough: list[Row] = []
         for strict, bias, coeffs in current:
             pivot = coeffs[d - 1]
             head = coeffs[: d - 1]
@@ -150,15 +148,8 @@ def _eliminate(
     return True, stages
 
 
-def _rows(constraints: Iterable[Constraint]) -> list[_Triple]:
-    return [(kind is InequalityKind.STRICT, *form.lowered()) for form, kind in constraints]
-
-
-def _holds(row: _Triple, den: int, coords: Sequence[int]) -> bool:
-    """Whether the point ``coords / den`` (``den > 0``, absent coordinates 0) satisfies the row."""
-    strict, bias, coeffs = row
-    value = bias * den + sum(map(mul, coeffs, coords))
-    return value > 0 if strict else value >= 0
+def _rows(constraints: Iterable[Constraint]) -> list[Row]:
+    return [_row(form, kind) for form, kind in constraints]
 
 
 def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> bool:
@@ -176,7 +167,7 @@ def _tightest(bounds: list[_Bound], den: int, coords: list[int], pick) -> tuple:
     return best, any(strict for value, strict in values if value == best)
 
 
-def _solve(rows: list[_Triple], dimension: int, cap: int) -> Optional[tuple[int, list[int]]]:
+def _solve(rows: list[Row], dimension: int, cap: int) -> Optional[tuple[int, list[int]]]:
     """A point of the rows as a positive common denominator and integer
     coordinates, or None when there is none."""
     feasible, stages = _eliminate(rows, dimension, cap)

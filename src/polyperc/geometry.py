@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConstantFormError, DimensionError, ParseError
@@ -36,7 +37,7 @@ _RATIONAL = re.compile(
 def _digit_count(text: str) -> int:
     """Digits written, plus the magnitude of any decimal exponent."""
     mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     count = sum(ch.isdigit() for ch in mantissa)
     if exponent.isdecimal():
         # an exponent too long to read is past the limit anyway
@@ -154,6 +155,21 @@ class LinearForm:
 
     def negated(self) -> "LinearForm":
         return LinearForm(-self.bias, tuple(-w for w in self.weights))
+
+
+# a unit or constraint in integers: (strict, bias, weights) of its lowered form
+Row = tuple[bool, int, tuple[int, ...]]
+
+
+def _row(form: LinearForm, kind: InequalityKind) -> Row:
+    return (kind is InequalityKind.STRICT, *form.lowered())
+
+
+def _holds(row: Row, den: int, coords: Sequence[int]) -> bool:
+    """Whether the point ``coords / den`` (``den > 0``, absent coordinates 0) satisfies the row."""
+    strict, bias, coeffs = row
+    value = bias * den + sum(map(mul, coeffs, coords))
+    return value > 0 if strict else value >= 0
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ from typing import Callable, Iterable, Sequence
 from .errors import ParseError, PreconditionError, SchemeError
 from .geometry import _count, _rows
 
+# The largest N= a scheme file may declare: one mask over it takes 2 MiB.
+MAX_AMBIENT = 2**24
+
 _set = object.__setattr__
 _MEMBERS_FIRST = str.maketrans("01", "10")
 # the 1-based positions of the set bits of each byte value
@@ -264,7 +267,8 @@ def parse_scheme_lines(
 
     ``check_ambient`` sees N= after every line has parsed and before any
     mask is built, so a caller can refuse an N= that does not match its
-    half-spaces before a huge index costs a huge mask.
+    half-spaces before a huge index costs a huge mask; an N= past
+    :data:`MAX_AMBIENT` is refused right after that check.
     """
     rows = _rows(lines, first_lineno)
     lineno, header = next(rows, (first_lineno, ""))
@@ -277,6 +281,7 @@ def parse_scheme_lines(
         raise ParseError(f"bad ambient {header[2:]!r}", lineno)
     if ambient < 1:
         raise ParseError("scheme ambient must be positive", lineno)
+    head_lineno = lineno
 
     texts: list[tuple[str, str]] = []
     # each distinct index list is checked at its first line only
@@ -301,6 +306,8 @@ def parse_scheme_lines(
         raise ParseError("scheme block has no J= line", lineno)
     if check_ambient is not None:
         check_ambient(ambient)
+    if ambient > MAX_AMBIENT:
+        raise ParseError(f"scheme ambient must be at most {MAX_AMBIENT}", head_lineno)
     mask = {text: _mask_of(indices) for text, indices in members.items()}
     ones = tuple([mask[text] for text, _ in texts])
     zeros = tuple([mask[text] for _, text in texts])

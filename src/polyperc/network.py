@@ -2,12 +2,15 @@
 
 A layer is a tuple of half-spaces sharing an input dimension; applying it
 yields one bit per unit.  A network is a composable sequence of layers.
-Each layer is lowered once to integers: every unit's form is scaled by
-the positive lcm of its coefficient denominators, which keeps every sign.
-The first layer then evaluates a rational point over a common
-denominator, and later layers sum integer weights over the set bits of
-the previous layer's output, so a forward pass does no rational
-arithmetic and gives the same bits as :meth:`HalfSpace.contains`.
+Each layer is lowered once to one ``(strict, bias, weights)`` integer row
+per unit: every unit's form is scaled by the positive lcm of its
+coefficient denominators, which keeps every sign.  The first layer then
+evaluates a rational point over a common denominator, and later layers
+sum integer weights over the set bits of the previous layer's output, so
+a forward pass does no rational arithmetic and gives the same bits as
+:meth:`HalfSpace.contains`.  The tail enumeration kernel
+(:func:`tail_accepted_set`) reads the same rows; Python ints never
+overflow, so it is exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError
 from .geometry import (
     HalfSpace,
-    InequalityKind,
     Point,
+    Row,
     _count,
+    _holds,
+    _row,
     _rows,
     format_halfspace,
     parse_halfspace,
@@ -32,8 +36,9 @@ from .geometry import (
 
 BitVector = tuple[int, ...]
 
-# per unit: the scaled bias, the scaled weights and whether the unit is lax
-IntLayer = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]
+# There is one pure-Python kernel and no compiled extension; the name
+# stays so that callers reporting the build keep working.
+HAVE_COMPILED = False
 
 
 def bits_of_index(g: int, n_bits: int) -> BitVector:
@@ -61,39 +66,34 @@ class PerceptronLayer:
         return len(self.units)
 
     @cached_property
-    def lowered(self) -> IntLayer:
-        """Every unit's :meth:`LinearForm.lowered`, plus its lax flag."""
-        biases, weights = zip(*(unit.form.lowered() for unit in self.units))
-        lax = tuple(u.kind is InequalityKind.LAX for u in self.units)
-        return biases, weights, lax
+    def lowered(self) -> tuple[Row, ...]:
+        """Every unit's row: whether it is strict, then its :meth:`LinearForm.lowered`."""
+        return tuple(_row(unit.form, unit.kind) for unit in self.units)
 
     def point_mask(self, x: Point) -> int:
         """Firing units on a rational point as an int mask (bit u-1 is unit u).
 
         The point is brought to a common denominator D > 0, so a unit fires
         iff ``bias*D + sum(w_i * D*x_i)`` is > 0, or >= 0 when it is lax.
-        A lax flag counts as 1, which turns ``>= 0`` into ``> 0`` on integers.
         """
-        biases, weights, lax = self.lowered
-        if len(x) != len(weights[0]):
+        if len(x) != self.input_dim:
             raise DimensionError(
-                f"point has {len(x)} coordinates, form expects {len(weights[0])}"
+                f"point has {len(x)} coordinates, form expects {self.input_dim}"
             )
         denom = math.lcm(*[c.denominator for c in x])
         coords = [c.numerator * (denom // c.denominator) for c in x]
         mask = 0
-        for u, (bias, row, is_lax) in enumerate(zip(biases, weights, lax)):
-            if bias * denom + is_lax + sum(map(mul, row, coords)) > 0:
+        for u, row in enumerate(self.lowered):
+            if _holds(row, denom, coords):
                 mask |= 1 << u
         return mask
 
     def next_mask(self, mask: int) -> int:
         """Firing units on the bit vector encoded by mask (bit j-1 is input j)."""
-        biases, weights, lax = self.lowered
-        on = [j for j in range(len(weights[0])) if (mask >> j) & 1]
+        bits = [(mask >> j) & 1 for j in range(self.input_dim)]
         out = 0
-        for u, (bias, row, is_lax) in enumerate(zip(biases, weights, lax)):
-            if bias + is_lax + sum([row[j] for j in on]) > 0:
+        for u, row in enumerate(self.lowered):
+            if _holds(row, 1, bits):
                 out |= 1 << u
         return out
 
@@ -103,6 +103,73 @@ class PerceptronLayer:
 
 def layer_of(halfspaces: Iterable[HalfSpace]) -> PerceptronLayer:
     return PerceptronLayer(tuple(halfspaces))
+
+
+def lower_layer(
+    layer: PerceptronLayer,
+) -> tuple[list[int], list[list[int]], list[bool]]:
+    """The layer's rows (see ``PerceptronLayer.lowered``) as fresh lists of
+    biases, weights and lax flags; the positive per-unit scale keeps every sign."""
+    strict, biases, weights = zip(*layer.lowered)
+    return list(biases), [list(row) for row in weights], [not s for s in strict]
+
+
+def _doubled_sums(start: int, weights: Sequence[int]) -> list[int]:
+    """``start`` plus the sum of weights[j] over the set bits j of each
+    index, for every index in [0, 2^len(weights))."""
+    sums = [start]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def tail_accepted_set(
+    tail_layers: Sequence[PerceptronLayer], n_bits: int
+) -> list[int]:
+    """Ascending indices of the bit vectors the tail maps to 1.
+
+    Bit i-1 of an index is input bit i, so index 5 over 3 bits is the
+    vector (1, 0, 1).
+
+    The first tail layer is evaluated on every index at once, one unit
+    at a time: the index splits into its low and high bits, the unit's
+    partial sums over each half are built by doubling, and the unit
+    fires where the two halves add up past zero.  The later layers then
+    only see the distinct firing codes of the first.
+    """
+    if not tail_layers:
+        raise PreconditionError("empty tail")
+    if tail_layers[0].input_dim != n_bits:
+        raise PreconditionError(
+            f"tail expects {tail_layers[0].input_dim} bits, got {n_bits}"
+        )
+    if tail_layers[-1].output_dim != 1:
+        raise PreconditionError("tail must be single-output")
+    low = (n_bits + 1) // 2
+    width = 1 << low
+    codes = [0] * (1 << n_bits)
+    for u, (strict, bias, row) in enumerate(tail_layers[0].lowered):
+        # a lax unit starts 1 higher, which turns ">= 0" into "> 0" on integers
+        vals = _doubled_sums(bias + (not strict), row[:low])
+        top = max(vals)
+        bit = 1 << u
+        for h, off in enumerate(_doubled_sums(0, row[low:])):
+            cut = -off
+            if top <= cut:
+                continue
+            start = h << low
+            stop = start + width
+            codes[start:stop] = [
+                c | bit if v > cut else c for c, v in zip(codes[start:stop], vals)
+            ]
+    accepted = set()
+    for code in set(codes):
+        mask = code
+        for layer in tail_layers[1:]:
+            mask = layer.next_mask(mask)
+        if mask & 1:
+            accepted.add(code)
+    return [g for g, code in enumerate(codes) if code in accepted]
 
 
 @dataclass(frozen=True)

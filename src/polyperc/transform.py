@@ -22,8 +22,7 @@ from .feasibility import _realizable, cell_witness
 from .forms import _unit_form
 from .geometry import HalfSpace, InequalityKind, Point
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
-from .kernels import tail_accepted_set
-from .network import BitVector, PerceptronNetwork, bits_of_index, layer_of
+from .network import BitVector, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
 
 DEFAULT_ENUM_CAP = 20
 

@@ -479,8 +479,14 @@ def test_unknown_subcommand_is_argparse_error(files):
         (["equiv", "a", "b", "--seed", "-1"], "argument --seed: seed must fit in 64 unsigned bits"),
         (["extract", "n", "--cap", "0"], "argument --cap: must be a positive integer"),
         (["equiv", "a", "b", "--samples", "0"], "argument --samples: must be a positive integer"),
+        # counts take ASCII digits only, as every count in a file does
+        (["extract", "n", "--cap", "1_0"], "argument --cap: must be a positive integer"),
+        (["extract", "n", "--cap", "\u0661\u0660"], "argument --cap: must be a positive integer"),
+        (["normalize", "n", "--cap", "\uff12\uff10"], "argument --cap: must be a positive integer"),
+        (["equiv", "a", "b", "--mode", "sampled", "--seed", " +7"], "argument --seed: seed must fit in 64 unsigned bits"),
+        (["equiv", "a", "b", "--mode", "sampled", "--samples", "0_5"], "argument --samples: must be a positive integer"),
     ],
-    ids=["seed", "cap", "samples"],
+    ids=["seed", "cap", "samples", "cap-underscore", "cap-arabic-indic", "cap-fullwidth", "seed-signed", "samples-underscore"],
 )
 def test_bad_option_value_is_argparse_error(argv, message, capsys):
     # refused before any file is read, so the files need not exist

@@ -31,6 +31,10 @@ def test_parse_rational_forms():
     assert parse_rational("7") == 7
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational("0.25") == Fraction(1, 4)
+    # an exponent is counted by its value, however many zeros lead it
+    assert parse_rational("1e0000000001") == 10
+    assert parse_rational("1E+0000000000002") == 100
+    assert parse_rational("0.5e-00000000001") == Fraction(1, 20)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0", "3/", "--2"])

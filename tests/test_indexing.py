@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -14,7 +15,7 @@ from polyperc import (
     normalize_scheme,
     parse_scheme,
 )
-from polyperc.indexing import lex_key
+from polyperc.indexing import MAX_AMBIENT, lex_key
 
 import randgen
 
@@ -193,6 +194,21 @@ def test_scheme_parse_rejects(text):
     with pytest.raises(ParseError) as info:
         parse_scheme(text)
     assert info.value.line is not None
+
+
+def test_huge_ambient_refused_before_any_mask():
+    # a mask holding index 99999999999 would take 12.5 GB
+    text = "\nN=100000000000\nG1: ONES=99999999999 ZEROS=-\nJ=1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"at most {MAX_AMBIENT}") as info:
+            parse_scheme(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert info.value.line == 2  # the N= line
+    assert parse_scheme(f"N={MAX_AMBIENT}\nG1: ONES=1 ZEROS=-\nJ=1\n").ambient == MAX_AMBIENT
 
 
 def test_repeated_bad_index_list_reports_its_first_line():

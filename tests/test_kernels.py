@@ -6,6 +6,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from polyperc import feasibility
 from polyperc import (
     HalfSpace,
     InequalityKind,
@@ -86,6 +87,21 @@ def test_lowering_preserves_unit_outputs():
                 )
                 got = 1 if (acc > 0 or (acc == 0 and lax[u])) else 0
                 assert got == expect[u]
+
+
+def test_layer_rows_are_the_feasibility_rows():
+    # one (strict, bias, weights) row per unit, shared with Fourier-Motzkin;
+    # lower_layer is the same rows transposed, with lax = not strict
+    rng = random.Random(23)
+    for _ in range(20):
+        hs = randgen.halfspaces(rng, rng.randint(1, 6), rng.randint(1, 4))
+        layer = layer_of(hs)
+        rows = tuple(feasibility._rows((u.form, u.kind) for u in layer.units))
+        assert layer.lowered == rows
+        biases, weights, lax = lower_layer(layer)
+        assert biases == [bias for _, bias, _ in rows]
+        assert weights == [list(row) for _, _, row in rows]
+        assert lax == [not strict for strict, _, _ in rows]
 
 
 def test_tail_accepted_and_golden():
