@@ -2,15 +2,14 @@
 
 A layer is a tuple of half-spaces sharing an input dimension; applying it
 yields one bit per unit.  A network is a composable sequence of layers.
-Each layer is lowered once to one ``(strict, bias, weights)`` integer row
-per unit: every unit's form is scaled by the positive lcm of its
-coefficient denominators, which keeps every sign.  The first layer then
-evaluates a rational point over a common denominator, and later layers
-sum integer weights over the set bits of the previous layer's output, so
-a forward pass does no rational arithmetic and gives the same bits as
-:meth:`HalfSpace.contains`.  The tail enumeration kernel
-(:func:`tail_accepted_set`) reads the same rows; Python ints never
-overflow, so it is exact at any magnitude.
+Each layer is lowered once to one integer row ``(strict, bias, weights)``
+per unit: its form times the positive lcm of its coefficient
+denominators, which keeps every sign.  The first layer evaluates a
+rational point over a common denominator; later layers, and the tail
+enumeration kernel (:func:`tail_accepted_set`), sum integer weights over
+set bits.  So no rational arithmetic is done, every bit is the one
+:meth:`HalfSpace.contains` gives, and Python ints keep it exact at any
+magnitude.
 """
 
 from __future__ import annotations
@@ -90,10 +89,11 @@ class PerceptronLayer:
 
     def next_mask(self, mask: int) -> int:
         """Firing units on the bit vector encoded by mask (bit j-1 is input j)."""
-        bits = [(mask >> j) & 1 for j in range(self.input_dim)]
+        on = [j for j in range(self.input_dim) if (mask >> j) & 1]
         out = 0
-        for u, row in enumerate(self.lowered):
-            if _holds(row, 1, bits):
+        for u, (strict, bias, weights) in enumerate(self.lowered):
+            # only set bits are summed, and a lax unit starts 1 higher, as in the kernel
+            if bias + (not strict) + sum([weights[j] for j in on]) > 0:
                 out |= 1 << u
         return out
 
