@@ -6,152 +6,24 @@ distinct, membership bits are exact, and all conversions are verified
 pointwise rather than numerically.
 """
 
-from .errors import (
-    ConstantFormError,
-    DimensionError,
-    ParseError,
-    PolypercError,
-    PreconditionError,
-    SchemeError,
-    SizeCapError,
-)
-from .forms import adder, conj_form, conj_unit, disj_form, disj_unit
-from .geometry import (
-    HalfSpace,
-    InequalityKind,
-    LinearForm,
-    Point,
-    format_halfspace,
-    format_point,
-    format_rational,
-    parse_halfspace,
-    parse_halfspace_block,
-    parse_point,
-    parse_rational,
-)
-from .indexing import (
-    IndexPair,
-    IndexSet,
-    Scheme,
-    format_scheme,
-    normalize_scheme,
-    parse_scheme,
-)
-from .feasibility import (
-    InequalitySystem,
-    cell_is_empty,
-    cell_witness,
-    is_feasible,
-    system_of_cell,
-    witness,
-)
-from .network import (
-    HAVE_COMPILED,
-    PerceptronLayer,
-    PerceptronNetwork,
-    architecture,
-    bits_of_index,
-    format_network,
-    layer_of,
-    lower_layer,
-    parse_network,
-    tail_accepted_set,
-)
-from .polyhedra import (
-    Mode,
-    PresentedPolyhedron,
-    cell_contains,
-    cnf_to_dnf,
-    cocell_contains,
-    complement_poly,
-    dnf_to_cnf,
-    format_bundle,
-    halfspace_presentation,
-    intersection,
-    parse_bundle,
-    union,
-)
-from .transform import (
-    ConstantNetwork,
-    EquivalenceResult,
-    ExtractionReport,
-    build_cnf_network,
-    build_dnf_network,
-    check_equivalence,
-    extract_scheme,
-    normalize_three_layers,
-    pair_of_bits,
-    prune_empty_cells,
-)
+from .errors import *
+from .feasibility import *
+from .forms import *
+from .geometry import *
+from .indexing import *
+from .network import *
+from .polyhedra import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantFormError",
-    "ConstantNetwork",
-    "DimensionError",
-    "EquivalenceResult",
-    "ExtractionReport",
-    "HAVE_COMPILED",
-    "HalfSpace",
-    "IndexPair",
-    "IndexSet",
-    "InequalityKind",
-    "InequalitySystem",
-    "LinearForm",
-    "Mode",
-    "ParseError",
-    "PerceptronLayer",
-    "PerceptronNetwork",
-    "Point",
-    "PolypercError",
-    "PreconditionError",
-    "PresentedPolyhedron",
-    "Scheme",
-    "SchemeError",
-    "SizeCapError",
-    "adder",
-    "architecture",
-    "bits_of_index",
-    "build_cnf_network",
-    "build_dnf_network",
-    "cell_contains",
-    "cell_is_empty",
-    "cell_witness",
-    "check_equivalence",
-    "cnf_to_dnf",
-    "cocell_contains",
-    "complement_poly",
-    "conj_form",
-    "conj_unit",
-    "disj_form",
-    "disj_unit",
-    "dnf_to_cnf",
-    "extract_scheme",
-    "format_bundle",
-    "format_halfspace",
-    "format_network",
-    "format_point",
-    "format_rational",
-    "format_scheme",
-    "halfspace_presentation",
-    "intersection",
-    "is_feasible",
-    "layer_of",
-    "lower_layer",
-    "normalize_scheme",
-    "normalize_three_layers",
-    "pair_of_bits",
-    "parse_bundle",
-    "parse_halfspace",
-    "parse_halfspace_block",
-    "parse_network",
-    "parse_point",
-    "parse_rational",
-    "parse_scheme",
-    "prune_empty_cells",
-    "system_of_cell",
-    "tail_accepted_set",
-    "union",
-    "witness",
-]
+__all__ = (
+    errors.__all__
+    + feasibility.__all__
+    + forms.__all__
+    + geometry.__all__
+    + indexing.__all__
+    + network.__all__
+    + polyhedra.__all__
+    + transform.__all__
+)

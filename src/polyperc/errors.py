@@ -1,5 +1,15 @@
 """Exception hierarchy, with the exit code each class maps to in the CLI."""
 
+__all__ = [
+    "PolypercError",
+    "ParseError",
+    "DimensionError",
+    "PreconditionError",
+    "SchemeError",
+    "SizeCapError",
+    "ConstantFormError",
+]
+
 
 class PolypercError(Exception):
     """Base class for every error raised by this package."""

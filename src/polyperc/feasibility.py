@@ -22,6 +22,15 @@ from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _holds, _row
 from .indexing import IndexPair, _members
 
+__all__ = [
+    "InequalitySystem",
+    "system_of_cell",
+    "is_feasible",
+    "witness",
+    "cell_is_empty",
+    "cell_witness",
+]
+
 DEFAULT_CONSTRAINT_CAP = 2000
 
 Constraint = tuple[LinearForm, InequalityKind]

@@ -14,6 +14,14 @@ from .errors import PreconditionError, SchemeError
 from .geometry import HalfSpace, InequalityKind, LinearForm
 from .indexing import IndexPair, IndexSet
 
+__all__ = [
+    "adder",
+    "conj_form",
+    "disj_form",
+    "conj_unit",
+    "disj_unit",
+]
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)

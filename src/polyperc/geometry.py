@@ -20,6 +20,20 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConstantFormError, DimensionError, ParseError
 
+__all__ = [
+    "Point",
+    "LinearForm",
+    "InequalityKind",
+    "HalfSpace",
+    "parse_rational",
+    "format_rational",
+    "parse_point",
+    "format_point",
+    "parse_halfspace",
+    "parse_halfspace_block",
+    "format_halfspace",
+]
+
 Point = tuple[Fraction, ...]
 
 # A rational may be written with at most this many digits, counting the

@@ -21,8 +21,19 @@ from typing import Callable, Iterable, Sequence
 from .errors import ParseError, PreconditionError, SchemeError
 from .geometry import _count, _rows
 
+__all__ = [
+    "IndexSet",
+    "IndexPair",
+    "Scheme",
+    "normalize_scheme",
+    "parse_scheme",
+    "format_scheme",
+]
+
 # The largest N= a scheme file may declare: one mask over it takes 2 MiB.
 MAX_AMBIENT = 2**24
+# The most pair lines times N= a scheme file may declare: 32 MiB of masks.
+MAX_SCHEME_BITS = 2**28
 
 _set = object.__setattr__
 _MEMBERS_FIRST = str.maketrans("01", "10")
@@ -268,7 +279,8 @@ def parse_scheme_lines(
     ``check_ambient`` sees N= after every line has parsed and before any
     mask is built, so a caller can refuse an N= that does not match its
     half-spaces before a huge index costs a huge mask; an N= past
-    :data:`MAX_AMBIENT` is refused right after that check.
+    :data:`MAX_AMBIENT` is refused right after that check, and then the
+    first pair line past :data:`MAX_SCHEME_BITS` pair bits.
     """
     rows = _rows(lines, first_lineno)
     lineno, header = next(rows, (first_lineno, ""))
@@ -287,6 +299,7 @@ def parse_scheme_lines(
     # each distinct index list is checked at its first line only
     members: dict[str, tuple[int, ...]] = {}
     selector: tuple[int, ...] | None = None
+    past_bound: int | None = None
     for lineno, line in rows:
         if selector is not None:
             raise ParseError("unexpected content after J= line", lineno)
@@ -299,6 +312,8 @@ def parse_scheme_lines(
         if _count(match.group(1)) != len(texts) + 1:
             raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
         texts.append(match.group(2, 3))
+        if past_bound is None and len(texts) * ambient > MAX_SCHEME_BITS:
+            past_bound = lineno
         for text in texts[-1]:
             if text not in members:
                 members[text] = _parse_members(text, ambient, lineno)
@@ -308,6 +323,8 @@ def parse_scheme_lines(
         check_ambient(ambient)
     if ambient > MAX_AMBIENT:
         raise ParseError(f"scheme ambient must be at most {MAX_AMBIENT}", head_lineno)
+    if past_bound is not None:
+        raise ParseError(f"pair lines times N= must be at most {MAX_SCHEME_BITS}", past_bound)
     mask = {text: _mask_of(indices) for text, indices in members.items()}
     ones = tuple([mask[text] for text, _ in texts])
     zeros = tuple([mask[text] for _, text in texts])

@@ -32,6 +32,20 @@ from .geometry import (
     format_halfspace,
     parse_halfspace,
 )
+from .indexing import _members
+
+__all__ = [
+    "PerceptronLayer",
+    "PerceptronNetwork",
+    "layer_of",
+    "architecture",
+    "bits_of_index",
+    "parse_network",
+    "format_network",
+    "tail_accepted_set",
+    "lower_layer",
+    "HAVE_COMPILED",
+]
 
 BitVector = tuple[int, ...]
 
@@ -89,7 +103,7 @@ class PerceptronLayer:
 
     def next_mask(self, mask: int) -> int:
         """Firing units on the bit vector encoded by mask (bit j-1 is input j)."""
-        on = [j for j in range(self.input_dim) if (mask >> j) & 1]
+        on = [i - 1 for i in _members(mask)]
         out = 0
         for u, (strict, bias, weights) in enumerate(self.lowered):
             # only set bits are summed, and a lax unit starts 1 higher, as in the kernel

@@ -22,6 +22,21 @@ from .indexing import IndexPair, IndexSet, Scheme, _members, _sorted_pairs, chec
 from .indexing import parse_scheme_lines
 from .network import PerceptronLayer
 
+__all__ = [
+    "Mode",
+    "PresentedPolyhedron",
+    "cell_contains",
+    "cocell_contains",
+    "union",
+    "intersection",
+    "complement_poly",
+    "cnf_to_dnf",
+    "dnf_to_cnf",
+    "halfspace_presentation",
+    "parse_bundle",
+    "format_bundle",
+]
+
 
 class Mode(enum.Enum):
     DNF = "DNF"

@@ -24,6 +24,19 @@ from .geometry import HalfSpace, InequalityKind, Point
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
 from .network import BitVector, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
 
+__all__ = [
+    "build_dnf_network",
+    "build_cnf_network",
+    "pair_of_bits",
+    "extract_scheme",
+    "ExtractionReport",
+    "prune_empty_cells",
+    "normalize_three_layers",
+    "ConstantNetwork",
+    "check_equivalence",
+    "EquivalenceResult",
+]
+
 DEFAULT_ENUM_CAP = 20
 
 

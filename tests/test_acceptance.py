@@ -325,7 +325,7 @@ XOR_BUNDLE = HS_TEXT + "MODE=DNF\nN=2\nG1: ONES=1 ZEROS=2\nG2: ONES=2 ZEROS=1\nJ
 def test_criterion_7_cli_golden_files(tmp_path, capsys):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     def run(*argv):

@@ -114,7 +114,7 @@ def equivalence_results(pairs):
 def cli_texts(tmp_path, capsys, pairs, systems):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     def run(*argv):

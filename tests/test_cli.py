@@ -53,7 +53,7 @@ CONST_NET = "LAYERS=2\nLAYER 1 1\n0 1 >=\nLAYER 1 1\n-3/2 1 >=\n"
 def files(tmp_path):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
@@ -92,7 +92,7 @@ def test_out_flag_writes_file(files, capsys, tmp_path):
         capsys, "synth", files("h", HS), files("s", AND_SCHEME), "-o", str(target)
     )
     assert code == 0 and out == ""
-    assert target.read_text() == AND_NET
+    assert target.read_text(encoding="utf-8") == AND_NET
 
 
 def test_eval_golden(files, capsys):
@@ -383,7 +383,7 @@ def run_child(*argv):
     return subprocess.run(
         [sys.executable, "-m", "polyperc.cli", *argv],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=child_env(),
     )
 
@@ -563,7 +563,7 @@ def test_module_and_script_invocations(files):
     env = child_env()
 
     def call(argv):
-        return subprocess.run(argv, capture_output=True, text=True, env=env)
+        return subprocess.run(argv, capture_output=True, encoding="utf-8", env=env)
 
     proc = call([sys.executable, "-m", "polyperc.cli", "feasible", feasible])
     assert proc.returncode == 0
@@ -597,7 +597,7 @@ def test_import_loads_no_numpy_or_cython():
         "print(','.join(sorted(heavy)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env
     )
     assert proc.returncode == 0, proc.stderr
     where, heavy = proc.stdout.splitlines()

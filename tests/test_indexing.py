@@ -15,7 +15,7 @@ from polyperc import (
     normalize_scheme,
     parse_scheme,
 )
-from polyperc.indexing import MAX_AMBIENT, lex_key
+from polyperc.indexing import MAX_AMBIENT, MAX_SCHEME_BITS, lex_key
 
 import randgen
 
@@ -209,6 +209,25 @@ def test_huge_ambient_refused_before_any_mask():
     assert peak < 1 << 20
     assert info.value.line == 2  # the N= line
     assert parse_scheme(f"N={MAX_AMBIENT}\nG1: ONES=1 ZEROS=-\nJ=1\n").ambient == MAX_AMBIENT
+
+
+def test_pair_lines_times_ambient_refused_before_any_mask():
+    # 20 distinct masks over 2^24 would take 40 MiB; the 17th pair line is
+    # the first past the bound, and it is refused before any mask is built
+    lines = [f"G{k}: ONES={MAX_AMBIENT - k} ZEROS=-" for k in range(1, 21)]
+    text = "\n".join([f"N={MAX_AMBIENT}", *lines, "J=1"]) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"at most {MAX_SCHEME_BITS}") as info:
+            parse_scheme(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert info.value.line == 18
+    lines = [f"G{k}: ONES={MAX_AMBIENT} ZEROS=-" for k in range(1, 17)]
+    at_bound = parse_scheme("\n".join([f"N={MAX_AMBIENT}", *lines, "J=1"]) + "\n")
+    assert at_bound.q * at_bound.ambient == MAX_SCHEME_BITS
 
 
 def test_repeated_bad_index_list_reports_its_first_line():

@@ -14,11 +14,13 @@ from polyperc import (
     LinearForm,
     Mode,
     ParseError,
+    PerceptronLayer,
     PerceptronNetwork,
     PreconditionError,
     PresentedPolyhedron,
     Scheme,
     architecture,
+    bits_of_index,
     cell_contains,
     cocell_contains,
     format_network,
@@ -121,6 +123,17 @@ def test_forward_factors_through_first_layer_bits():
             if bits in seen:
                 assert seen[bits] == out
             seen[bits] = out
+
+
+def test_next_mask_of_a_wide_layer_is_the_fraction_oracle():
+    # 520 inputs: wider than any layer the normalization tests feed it
+    rng = random.Random(520)
+    layer = PerceptronLayer(randgen.halfspaces(rng, 8, 520))
+    dense = sum(1 << j for j in rng.sample(range(519), 259)) | 1 << 519
+    for mask in (0, 1 << 519, 1 | 1 << 200 | 1 << 519, dense):
+        point = tuple(map(Fraction, bits_of_index(mask, 520)))
+        expect = tuple(u.contains(point) for u in layer.units)
+        assert bits_of_index(layer.next_mask(mask), 8) == expect
 
 
 HUGE = 10**5000

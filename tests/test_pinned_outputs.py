@@ -103,7 +103,7 @@ def algebra_texts(triples):
 def cli_runs(tmp_path, capsys, nets, triples):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     def run(*argv):
@@ -217,7 +217,7 @@ def wide_algebra_texts(rng, triples):
 def wide_cli_runs(tmp_path, capsys, triples):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     def run(*argv):

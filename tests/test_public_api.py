@@ -33,6 +33,13 @@ def test_all_matches_readme_list():
             assert getattr(polyperc, name) is getattr(source, name), name
 
 
+def test_each_module_all_is_its_readme_line():
+    for module, group in readme_public_names().items():
+        source = importlib.import_module(f"polyperc.{module}")
+        assert source.__all__ == group, module
+        assert len(set(group)) == len(group), module
+
+
 def is_submodule(name):
     return importlib.util.find_spec(f"polyperc.{name}") is not None
 

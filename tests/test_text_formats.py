@@ -50,8 +50,8 @@ NET_2_TO_1 = "LAYERS=1\nLAYER 2 1\n0 1 1 >=\n"
 def read_points(text, tmp_path, capsys):
     """Run ``eval`` on a points file; raise the error it reports."""
     network, points = tmp_path / "net", tmp_path / "points"
-    network.write_text(NET_2_TO_1)
-    points.write_text(text)
+    network.write_text(NET_2_TO_1, encoding="utf-8")
+    points.write_text(text, encoding="utf-8")
     code = console_main(["eval", str(network), str(points)])
     err = capsys.readouterr().err
     assert code == ParseError.exit_code
@@ -230,9 +230,9 @@ def test_padded_points_file_gives_the_same_eval_output(rng):
     with tempfile.TemporaryDirectory() as name:
         folder = Path(name)
         network, plain, padded = folder / "net", folder / "plain", folder / "padded"
-        network.write_text(format_network(randgen.network(rng, dim)))
-        plain.write_text(text)
-        padded.write_text(randgen.padded(rng, text))
+        network.write_text(format_network(randgen.network(rng, dim)), encoding="utf-8")
+        plain.write_text(text, encoding="utf-8")
+        padded.write_text(randgen.padded(rng, text), encoding="utf-8")
         expected = eval_stdout(network, plain)
         assert expected[0] == 0 and expected[1].count("\n") == len(points)
         assert eval_stdout(network, padded) == expected
