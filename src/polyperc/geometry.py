@@ -48,6 +48,15 @@ _RATIONAL = re.compile(
 )
 
 
+def _shown(text: str) -> str:
+    """How an error message echoes input text: ``repr`` of a text of at
+    most 64 characters, and of a longer one its first 32 characters,
+    ``...`` and its length."""
+    if len(text) <= 64:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def _digit_count(text: str) -> int:
     """Digits written, plus the magnitude of any decimal exponent."""
     mantissa, _, exponent = text.lower().partition("e")
@@ -75,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(Decimal(match["decimal"]))
         if match["den"].strip("0"):
             return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
-    raise ParseError(f"bad rational {text!r}")
+    raise ParseError(f"bad rational {_shown(text)}")
 
 
 def _int_text(n: int) -> str:
@@ -227,7 +236,7 @@ def parse_halfspace(line: str, lineno: int | None = None) -> HalfSpace:
         raise ParseError("half-space line needs a bias, at least one weight and an operator", lineno)
     kind = _OPERATORS.get(tokens[-1])
     if kind is None:
-        raise ParseError(f"unknown inequality operator {tokens[-1]!r}", lineno)
+        raise ParseError(f"unknown inequality operator {_shown(tokens[-1])}", lineno)
     try:
         coefficients = [parse_rational(token) for token in tokens[:-1]]
         return HalfSpace(LinearForm(coefficients[0], tuple(coefficients[1:])), kind)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import lt, or_
+from itertools import compress, count, repeat
+from operator import add, and_, floordiv, lshift, lt, mod, mul, or_, rshift
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError, PreconditionError, SchemeError
-from .geometry import _count, _rows
+from .errors import ParseError, PreconditionError, SchemeError, SizeCapError
+from .geometry import _count, _rows, _shown
 
 __all__ = [
     "IndexSet",
@@ -218,19 +219,25 @@ class Scheme:
         return tuple(IndexPair(ones[j - 1], zeros[j - 1], self.ambient) for j in self.selector)
 
 
-def _sorted_pairs(ambient: int, masks: Iterable[tuple[int, int]], selected: Iterable) -> Scheme:
-    """Scheme of the distinct (ones, zeros) masks in pair order, selecting
-    those in ``selected``.  Each distinct mask is ranked by ``lex_key``
-    once; pairs sort as the ints rank(ones) * R + rank(zeros)."""
-    masks = set(masks)
-    distinct = sorted(set().union(*masks), key=lex_key)
-    rank = {mask: r for r, mask in enumerate(distinct)}
+def _sorted_pairs(ambient: int, keys: Iterable[int], selected: Iterable[int] | None = None) -> Scheme:
+    """Scheme of the distinct pair keys ``ones | zeros << ambient`` in pair
+    order, selecting those in ``selected``, or every pair when it is None.
+    Each distinct mask is ranked by ``lex_key`` once; pairs sort as the
+    ints rank(ones) * R + rank(zeros)."""
+    keys = list(set(keys))
+    ones = list(map(and_, keys, repeat((1 << ambient) - 1)))
+    zeros = list(map(rshift, keys, repeat(ambient)))
+    distinct = sorted({*ones, *zeros}, key=lex_key)
     width = len(distinct)
-    keys = sorted([rank[ones] * width + rank[zeros] for ones, zeros in masks])
-    picked = {rank[ones] * width + rank[zeros] for ones, zeros in selected}
-    ones, zeros = tuple([distinct[k // width] for k in keys]), tuple([distinct[k % width] for k in keys])
-    chosen = _mask_of([j for j, key in enumerate(keys, 1) if key in picked])
-    return Scheme._of_columns(ambient, ones, zeros, IndexSet.from_mask(chosen, len(keys)))
+    rank = dict(zip(distinct, range(width))).__getitem__
+    order = sorted(map(add, map(mul, map(rank, ones), repeat(width)), map(rank, zeros)))
+    ones = tuple(map(distinct.__getitem__, map(floordiv, order, repeat(width))))
+    zeros = tuple(map(distinct.__getitem__, map(mod, order, repeat(width))))
+    chosen = (1 << len(order)) - 1
+    if selected is not None:
+        picked = map(set(selected).__contains__, map(or_, ones, map(lshift, zeros, repeat(ambient))))
+        chosen = _mask_of(tuple(compress(count(1), picked)))
+    return Scheme._of_columns(ambient, ones, zeros, IndexSet.from_mask(chosen, len(order)))
 
 
 def normalize_scheme(scheme: Scheme) -> Scheme:
@@ -239,8 +246,10 @@ def normalize_scheme(scheme: Scheme) -> Scheme:
     A merged pair is selected when any of its original copies was, which
     leaves both the DNF union and the CNF intersection unchanged.
     """
-    masks = list(zip(scheme.ones_masks, scheme.zeros_masks))
-    return _sorted_pairs(scheme.ambient, masks, [masks[j - 1] for j in scheme.selector])
+    n = scheme.ambient
+    keys = list(map(or_, scheme.ones_masks, map(lshift, scheme.zeros_masks, repeat(n))))
+    # the selector's bits, lowest first, pick the selected keys
+    return _sorted_pairs(n, keys, compress(keys, map("1".__eq__, bin(scheme.selector.mask)[:1:-1])))
 
 
 def _format_members(mask: int) -> str:
@@ -250,17 +259,24 @@ def _format_members(mask: int) -> str:
 def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
     members = () if text == "-" else tuple(map(_count, text.split(",")))
     if None in members:
-        raise ParseError(f"bad index list {text!r}", lineno)
+        raise ParseError(f"bad index list {_shown(text)}", lineno)
     try:
         return _checked(members, ambient)
     except ValueError as exc:
-        raise ParseError(f"bad index list {text!r}: {exc}", lineno) from exc
+        raise ParseError(f"bad index list {_shown(text)}: {exc}", lineno) from exc
 
 
 _PAIR_LINE = re.compile(r"^G([0-9]+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 
 
 def format_scheme(scheme: Scheme) -> str:
+    """The scheme block text; ``SizeCapError`` for a scheme past the
+    bounds :func:`parse_scheme_lines` reads, before any text is built."""
+    bits = scheme.q * scheme.ambient
+    if scheme.ambient > MAX_AMBIENT:
+        raise SizeCapError(f"scheme N={scheme.ambient} is past {MAX_AMBIENT}, the most a reader takes")
+    if bits > MAX_SCHEME_BITS:
+        raise SizeCapError(f"pair lines times N= is {bits}, past {MAX_SCHEME_BITS}, the most a reader takes")
     ones, zeros = scheme.ones_masks, scheme.zeros_masks
     text = {mask: _format_members(mask) for mask in {*ones, *zeros}}
     lines = [f"N={scheme.ambient}"]
@@ -290,7 +306,7 @@ def parse_scheme_lines(
         raise ParseError("scheme block must start with N=<n>", lineno)
     ambient = _count(header[2:])
     if ambient is None:
-        raise ParseError(f"bad ambient {header[2:]!r}", lineno)
+        raise ParseError(f"bad ambient {_shown(header[2:])}", lineno)
     if ambient < 1:
         raise ParseError("scheme ambient must be positive", lineno)
     head_lineno = lineno
@@ -308,7 +324,7 @@ def parse_scheme_lines(
             continue
         match = _PAIR_LINE.match(line)
         if not match:
-            raise ParseError(f"bad scheme line {line!r}", lineno)
+            raise ParseError(f"bad scheme line {_shown(line)}", lineno)
         if _count(match.group(1)) != len(texts) + 1:
             raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
         texts.append(match.group(2, 3))

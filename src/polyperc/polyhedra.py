@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
 from .feasibility import system_of_cell
-from .geometry import HalfSpace, Point, _rows, format_halfspace, parse_halfspace
+from .geometry import HalfSpace, Point, _rows, _shown, format_halfspace, parse_halfspace
 from .indexing import IndexPair, IndexSet, Scheme, _members, _sorted_pairs, check_ground, format_scheme
 from .indexing import parse_scheme_lines
 from .network import PerceptronLayer
@@ -119,10 +119,17 @@ def _require_dnf(k: PresentedPolyhedron, op: str) -> None:
 
 
 def _dnf_of_pairs(
-    halfspaces: tuple[HalfSpace, ...], masks: set[tuple[int, int]], mode: Mode = Mode.DNF
+    halfspaces: tuple[HalfSpace, ...], keys: set[int], mode: Mode = Mode.DNF
 ) -> PresentedPolyhedron:
-    """Presentation with the given (ones, zeros) masks all selected, normalized."""
-    return PresentedPolyhedron(halfspaces, _sorted_pairs(len(halfspaces), masks, masks), mode)
+    """Presentation with the given pair keys all selected, normalized."""
+    return PresentedPolyhedron(halfspaces, _sorted_pairs(len(halfspaces), keys), mode)
+
+
+def _keys(k: PresentedPolyhedron) -> set[int]:
+    """The selected pairs as keys ``ones | zeros << n``, n the half-space
+    count: the ones bits are 0..n-1 and the zeros bits n..2n-1."""
+    n = len(k.halfspaces)
+    return {ones | zeros << n for ones, zeros in k._selected_masks}
 
 
 def union(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -130,7 +137,7 @@ def union(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron
     _require_dnf(a, "union")
     _require_dnf(b, "union")
     _same_ground(a, b)
-    return _dnf_of_pairs(a.halfspaces, {*a._selected_masks, *b._selected_masks})
+    return _dnf_of_pairs(a.halfspaces, _keys(a) | _keys(b))
 
 
 def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -139,36 +146,32 @@ def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPol
     _require_dnf(a, "intersection")
     _require_dnf(b, "intersection")
     _same_ground(a, b)
-    merged = {
-        (ones | other_ones, zeros | other_zeros)
-        for ones, zeros in a._selected_masks
-        for other_ones, other_zeros in b._selected_masks
-        if not (ones | other_ones) & (zeros | other_zeros)
-    }
+    n = len(a.halfspaces)
+    other = _keys(b)
+    # a merged key is consistent when its ones bits miss its zeros bits
+    merged = {key for left in _keys(a) for right in other if not (key := left | right) & key >> n}
     return _dnf_of_pairs(a.halfspaces, merged)
 
 
-def _distribute(clauses: Sequence[tuple[int, int]]) -> set[tuple[int, int]]:
+def _distribute(clauses: Sequence[tuple[int, int]], n: int) -> set[int]:
     """Distribute a conjunction of literal-disjunctions into a disjunction
     of literal-conjunctions (or dually; the combinatorics are identical).
 
     Each clause contributes one literal per choice; a merged pair that
     needs some index both plain and complemented is dropped.  With zero
     clauses the single empty choice yields the empty pair.  Partial
-    merges are (ones, zeros) masks, deduplicated after every clause,
-    which bounds the working set by 3^n instead of the full product of
-    clause sizes.  The (ones, zeros) masks come out unordered; every
-    caller normalizes them.
+    merges are keys ``ones | zeros << n``, deduplicated after every
+    clause, which bounds the working set by 3^n instead of the full
+    product of clause sizes.  Each literal is its key bit and the bit
+    that clashes with it, the same index on the other side.  The keys
+    come out unordered; every caller normalizes them.
     """
-    partial = {(0, 0)}
-    for clause_ones, clause_zeros in clauses:
-        plain = [1 << i - 1 for i in _members(clause_ones)]
-        complemented = [1 << i - 1 for i in _members(clause_zeros)]
-        partial = {
-            (ones | bit, zeros) for ones, zeros in partial for bit in plain if not zeros & bit
-        } | {
-            (ones, zeros | bit) for ones, zeros in partial for bit in complemented if not ones & bit
-        }
+    partial = {0}
+    for ones, zeros in clauses:
+        plain = [1 << i - 1 for i in _members(ones)]
+        complemented = [1 << i - 1 for i in _members(zeros)]
+        literals = [(bit, bit << n) for bit in plain] + [(bit << n, bit) for bit in complemented]
+        partial = {key | bit for key in partial for bit, clash in literals if not key & clash}
         if not partial:
             break
     return partial
@@ -178,13 +181,13 @@ def cnf_to_dnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite an intersection of cocells as a union of cells, pointwise equal."""
     if k.mode is not Mode.CNF:
         raise PreconditionError("cnf_to_dnf expects a CNF presentation")
-    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks), Mode.DNF)
+    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks, len(k.halfspaces)), Mode.DNF)
 
 
 def dnf_to_cnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite a union of cells as an intersection of cocells, pointwise equal."""
     _require_dnf(k, "dnf_to_cnf")
-    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks), Mode.CNF)
+    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks, len(k.halfspaces)), Mode.CNF)
 
 
 def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -196,7 +199,7 @@ def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """
     _require_dnf(k, "complement")
     swapped = [(zeros, ones) for ones, zeros in k._selected_masks]
-    return _dnf_of_pairs(k.halfspaces, _distribute(swapped))
+    return _dnf_of_pairs(k.halfspaces, _distribute(swapped, len(k.halfspaces)))
 
 
 def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:
@@ -225,7 +228,7 @@ def parse_bundle(text: str) -> PresentedPolyhedron:
         raise ParseError("missing MODE=DNF|CNF line", len(lines) or 1)
     value = line[len("MODE=") :]
     if value not in ("DNF", "CNF"):
-        raise ParseError(f"unknown mode {value!r}", lineno)
+        raise ParseError(f"unknown mode {_shown(value)}", lineno)
     if not halfspaces:
         raise ParseError("bundle has no half-space lines", lineno)
     scheme = parse_scheme_lines(lines[lineno:], lineno + 1, lambda n: check_ground(n, len(halfspaces)))

@@ -23,6 +23,7 @@ from polyperc import (
     conj_form,
     disj_form,
 )
+from polyperc.indexing import lex_key
 
 
 def rational(rng: random.Random, span: int = 12, max_den: int = 6) -> Fraction:
@@ -198,3 +199,36 @@ def nonconstant_network(
         candidate = network(rng, input_dim, max_depth, max_width)
         if extract_scheme(candidate).accepted_count > 0:
             return candidate
+
+
+def distribute_pairs(clauses) -> set[tuple[int, int]]:
+    """Oracle for the library's distribution on pair keys: the same
+    clause-by-clause merge on ``(ones, zeros)`` mask tuples, dropping a
+    merge that needs an index both plain and complemented."""
+    partial = {(0, 0)}
+    for clause_ones, clause_zeros in clauses:
+        plain = [1 << i - 1 for i in IndexSet.from_mask(clause_ones, clause_ones.bit_length())]
+        complemented = [1 << i - 1 for i in IndexSet.from_mask(clause_zeros, clause_zeros.bit_length())]
+        partial = {
+            (ones | bit, zeros) for ones, zeros in partial for bit in plain if not zeros & bit
+        } | {
+            (ones, zeros | bit) for ones, zeros in partial for bit in complemented if not ones & bit
+        }
+        if not partial:
+            break
+    return partial
+
+
+def sorted_pairs(ambient: int, masks, selected) -> Scheme:
+    """Oracle for the library's pair sort on keys: the scheme of the
+    distinct ``(ones, zeros)`` mask tuples in pair order, through the
+    public constructors, selecting those in ``selected``."""
+    masks = set(masks)
+    distinct = sorted(set().union(*masks), key=lex_key)
+    rank = {mask: r for r, mask in enumerate(distinct)}
+    width = len(distinct)
+    keys = sorted([rank[ones] * width + rank[zeros] for ones, zeros in masks])
+    picked = {rank[ones] * width + rank[zeros] for ones, zeros in selected}
+    pairs = [IndexPair(distinct[k // width], distinct[k % width], ambient) for k in keys]
+    chosen = [j for j, key in enumerate(keys, 1) if key in picked]
+    return Scheme(ambient, pairs, IndexSet(chosen, len(keys)))

@@ -152,6 +152,18 @@ def test_extract_cap_exit_5(files, capsys):
     assert "cap" in err
 
 
+def test_extract_past_the_scheme_reader_bound_exit_5(files, capsys, tmp_path, monkeypatch):
+    # a 4-unit first layer whose tail accepts 15 of its 16 bit vectors:
+    # 15 pair lines times N=4 is past a bound of 12
+    monkeypatch.setattr("polyperc.indexing.MAX_SCHEME_BITS", 12)
+    net = "LAYERS=2\nLAYER 1 4\n0 1 >=\n1 1 >=\n2 1 >=\n3 1 >=\nLAYER 4 1\n-1/2 1 1 1 1 >=\n"
+    target = tmp_path / "out.bundle"
+    code, out, err = run(capsys, "extract", files("n", net), "--out", str(target))
+    assert (code, out) == (5, "")
+    assert "past 12" in err
+    assert not target.exists()
+
+
 def test_extract_constant_strict_exit_4(files, capsys):
     code, _, err = run(capsys, "extract", files("n", CONST_NET))
     assert code == 4

@@ -11,10 +11,12 @@ from polyperc import (
     ParseError,
     PreconditionError,
     Scheme,
+    SizeCapError,
     format_scheme,
     normalize_scheme,
     parse_scheme,
 )
+from polyperc import indexing
 from polyperc.indexing import MAX_AMBIENT, MAX_SCHEME_BITS, lex_key
 
 import randgen
@@ -228,6 +230,18 @@ def test_pair_lines_times_ambient_refused_before_any_mask():
     lines = [f"G{k}: ONES={MAX_AMBIENT} ZEROS=-" for k in range(1, 17)]
     at_bound = parse_scheme("\n".join([f"N={MAX_AMBIENT}", *lines, "J=1"]) + "\n")
     assert at_bound.q * at_bound.ambient == MAX_SCHEME_BITS
+
+
+def test_writer_refuses_the_schemes_the_reader_refuses(monkeypatch):
+    monkeypatch.setattr(indexing, "MAX_SCHEME_BITS", 12)
+    three = Scheme(4, [IndexPair.of([k], [], 4) for k in (1, 2, 3)], IndexSet.of([1, 3], 3))
+    assert parse_scheme(format_scheme(three)) == three
+    four = Scheme(4, [IndexPair.of([k], [], 4) for k in (1, 2, 3, 4)], IndexSet.of([1, 3], 4))
+    with pytest.raises(SizeCapError, match="is 16, past 12"):
+        format_scheme(four)
+    wide = Scheme(MAX_AMBIENT + 1, [], IndexSet.of([], 0))
+    with pytest.raises(SizeCapError, match=f"N={MAX_AMBIENT + 1} is past {MAX_AMBIENT}"):
+        format_scheme(wide)
 
 
 def test_repeated_bad_index_list_reports_its_first_line():

@@ -26,6 +26,7 @@ from polyperc import (
     format_bundle,
     halfspace_presentation,
     intersection,
+    normalize_scheme,
     parse_bundle,
     parse_halfspace,
     union,
@@ -306,6 +307,69 @@ def bundles(draw):
     chosen = [j for j, p in enumerate(pairs, 1) if p.is_consistent() and draw(strat.booleans())]
     scheme = Scheme(n, pairs, IndexSet.of(chosen, len(pairs)))
     return PresentedPolyhedron(randgen.halfspaces(rng, n, m), scheme, draw(strat.sampled_from(Mode)))
+
+
+@strat.composite
+def operands(draw):
+    """Two DNF presentations over n = 1..40 half-spaces, so pair keys pass
+    64 bits, each of at most 5 pairs of at most 4 literals.  Duplicate
+    pairs, the empty pair, empty selectors and unselected inconsistent
+    pairs all occur; a selected pair is consistent."""
+    n = draw(strat.integers(1, 40))
+    halfspaces = tuple(parse_halfspace(f"{i} 1 >=") for i in range(n))
+    literals = strat.lists(strat.tuples(strat.integers(1, n), strat.booleans()), max_size=4)
+
+    def presentation():
+        pairs = []
+        for _ in range(draw(strat.integers(0, 5))):
+            if pairs and draw(strat.booleans()):
+                pairs.append(draw(strat.sampled_from(pairs)))
+                continue
+            chosen = draw(literals)
+            ones, zeros = [i for i, plain in chosen if plain], [i for i, plain in chosen if not plain]
+            pairs.append(IndexPair.of(ones, zeros, n))
+        selected = [j for j, pair in enumerate(pairs, 1) if pair.is_consistent() and draw(strat.booleans())]
+        return dnf(halfspaces, pairs, selected)
+
+    return presentation(), presentation()
+
+
+def wide_operands():
+    """Over 40 half-spaces: a duplicate pair, the empty pair and an
+    unselected inconsistent pair, and an empty selector."""
+    halfspaces = tuple(parse_halfspace(f"{i} 1 >=") for i in range(40))
+    wide = IndexPair.of([1, 40], [33], 40)
+    pairs = [wide, IndexPair.of([], [], 40), wide, IndexPair.of([7], [7, 39], 40), IndexPair.of([2], [40], 40)]
+    return dnf(halfspaces, pairs, [1, 2, 3, 5]), dnf(halfspaces, pairs, [])
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.example(wide_operands())
+@hypothesis.given(operands())
+def test_algebra_on_pair_keys_matches_the_tuple_pair_oracle(ab):
+    a, b = ab
+    n = len(a.halfspaces)
+    c = PresentedPolyhedron(a.halfspaces, a.scheme, Mode.CNF)
+
+    def selected(k):
+        return [(pair.ones_mask, pair.zeros_mask) for pair in k.scheme.selected_pairs()]
+
+    def oracle(masks, mode=Mode.DNF):
+        masks = list(masks)
+        return randgen.sorted_pairs(n, masks, masks), mode
+
+    def got(k):
+        return k.scheme, k.mode
+
+    merged = [(o1 | o2, z1 | z2) for o1, z1 in selected(a) for o2, z2 in selected(b)]
+    assert got(union(a, b)) == oracle(selected(a) + selected(b))
+    assert got(intersection(a, b)) == oracle((ones, zeros) for ones, zeros in merged if not ones & zeros)
+    assert got(complement_poly(a)) == oracle(randgen.distribute_pairs([(z, o) for o, z in selected(a)]))
+    assert got(dnf_to_cnf(a)) == oracle(randgen.distribute_pairs(selected(a)), Mode.CNF)
+    assert got(cnf_to_dnf(c)) == oracle(randgen.distribute_pairs(selected(c)))
+    for k in (a, b):
+        pairs = list(zip(k.scheme.ones_masks, k.scheme.zeros_masks))
+        assert normalize_scheme(k.scheme) == randgen.sorted_pairs(n, pairs, selected(k))
 
 
 @hypothesis.given(bundles())

@@ -174,7 +174,29 @@ def test_every_number_field_takes_ascii_digits_only(reader, template, message, n
             READERS[reader](text)
     lineno = number_line(template)
     line = text.splitlines()[lineno - 1].strip()
-    assert (exc.value.line, exc.value.message) == (lineno, message.format(number=number, line=line))
+    expected = message.format(number=number, line=line)
+    if len(number) > 64:
+        # past 64 characters a text is echoed as its first 32, "..." and its length
+        expected = f"bad rational '{'1' * 32}'... ({len(number)} characters)"
+    assert (exc.value.line, exc.value.message) == (lineno, expected)
+
+
+def test_a_rational_just_under_the_digit_limit_is_echoed_short():
+    number = "1" * 99_998 + "١"
+    with pytest.raises(ParseError) as exc:
+        parse_halfspace_block(f"\n\n0 {number} >=\n".splitlines())
+    assert exc.value.line == 3
+    assert len(str(exc.value)) < 100
+    assert str(exc.value) == "line 3: bad rational '11111111111111111111111111111111'... (99999 characters)"
+
+
+@pytest.mark.parametrize("length", [64, 65])
+def test_an_echoed_text_is_whole_up_to_64_characters(length):
+    text = "x" * length
+    with pytest.raises(ParseError) as exc:
+        parse_scheme(f"N={text}\nJ=-\n")
+    shown = repr(text) if length == 64 else f"'{'x' * 32}'... (65 characters)"
+    assert exc.value.message == f"bad ambient {shown}"
 
 
 @pytest.mark.parametrize("reader, template, message", COUNT_FIELDS.values(), ids=list(COUNT_FIELDS))
