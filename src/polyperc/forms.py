@@ -9,9 +9,10 @@ is immune to boundary ambiguity.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 from .errors import PreconditionError, SchemeError
-from .geometry import HalfSpace, InequalityKind, LinearForm
+from .geometry import HalfSpace, InequalityKind, LinearForm, Row
 from .indexing import IndexPair, IndexSet
 
 __all__ = [
@@ -26,6 +27,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 HALF = Fraction(1, 2)
+# a mask's bit text, lowest bit first, read as 2 on each member and 0 elsewhere
+_TWOS = bytes.maketrans(b"01", b"\x00\x02")
 
 
 def _weights(ones: int, zeros: int, ambient: int) -> tuple[Fraction, ...]:
@@ -49,6 +52,16 @@ def _unit_form(ones: int, zeros: int, ambient: int, conj: bool) -> LinearForm:
         raise SchemeError(f"empty index pair would give a constant {what}")
     bias = HALF - ones.bit_count() if conj else zeros.bit_count() - HALF
     return LinearForm(bias, _weights(ones, zeros, ambient))
+
+
+def _unit_row(ones: int, zeros: int, ambient: int, conj: bool) -> Row:
+    """The lax row of :func:`_unit_form`, which is twice the form: bias
+    ``1 - 2|ones|`` (AND) or ``2|zeros| - 1`` (OR), weight 2 on each ones
+    index, -2 on each zeros index and 0 elsewhere.  The masks must be
+    disjoint, not both empty and below ``1 << ambient``."""
+    bias = 1 - 2 * ones.bit_count() if conj else 2 * zeros.bit_count() - 1
+    twos = [format(mask, "b").zfill(ambient)[::-1].encode().translate(_TWOS) for mask in (ones, zeros)]
+    return (False, bias, tuple(map(sub, *twos)))
 
 
 def conj_form(pair: IndexPair) -> LinearForm:

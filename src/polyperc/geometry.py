@@ -168,11 +168,13 @@ class LinearForm:
                 total += w * c
         return total
 
+    def _scale(self) -> int:
+        """The positive lcm of the coefficient denominators."""
+        return math.lcm(self.bias.denominator, *(w.denominator for w in self.weights))
+
     def lowered(self) -> tuple[int, tuple[int, ...]]:
-        """Bias and weights times the positive lcm of their denominators."""
-        scale = math.lcm(
-            self.bias.denominator, *(w.denominator for w in self.weights)
-        )
+        """Bias and weights times :meth:`_scale`."""
+        scale = self._scale()
         bias = self.bias.numerator * (scale // self.bias.denominator)
         return bias, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 

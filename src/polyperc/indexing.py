@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, count, repeat
 from operator import add, and_, floordiv, lshift, lt, mod, mul, or_, rshift
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError, SizeCapError
-from .geometry import _count, _rows, _shown
+from .geometry import _count, _int_text, _rows, _shown
 
 __all__ = [
     "IndexSet",
@@ -40,6 +40,15 @@ _set = object.__setattr__
 _MEMBERS_FIRST = str.maketrans("01", "10")
 # the 1-based positions of the set bits of each byte value
 _BYTE_MEMBERS = [tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256)]
+# how many low bytes of a mask _byte_texts covers
+_TEXT_BYTES = 8
+
+
+def _shown_member(member: int) -> str:
+    """How an error message echoes a member: in full up to 64 digits, and
+    past that as ``geometry._shown`` shortens a text."""
+    text = _int_text(member)
+    return text if len(text) <= 64 else f"{text[:32]}... ({len(text)} digits)"
 
 
 def _checked(members: Iterable[int], ambient: int) -> tuple[int, ...]:
@@ -51,7 +60,7 @@ def _checked(members: Iterable[int], ambient: int) -> tuple[int, ...]:
     if not all(map(lt, (0,) + members, members)):
         raise ValueError("members must be strictly increasing positive integers")
     if members and members[-1] > ambient:
-        raise ValueError(f"member {members[-1]} exceeds ambient {ambient}")
+        raise ValueError(f"member {_shown_member(members[-1])} exceeds ambient {ambient}")
     return members
 
 
@@ -252,8 +261,21 @@ def normalize_scheme(scheme: Scheme) -> Scheme:
     return _sorted_pairs(n, keys, compress(keys, map("1".__eq__, bin(scheme.selector.mask)[:1:-1])))
 
 
+@cache
+def _byte_texts() -> list[list[str]]:
+    """``[k][byte]``: the members of byte value ``byte`` at byte k of a
+    mask, as text, for the first :data:`_TEXT_BYTES` bytes."""
+    return [[",".join([str(8 * k + i) for i in members]) for members in _BYTE_MEMBERS] for k in range(_TEXT_BYTES)]
+
+
 def _format_members(mask: int) -> str:
-    return ",".join(map(str, _members(mask))) or "-"
+    """The mask's members as a comma list, ``-`` for none; the members of
+    each of its low bytes come from :func:`_byte_texts` as one text."""
+    octets = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    parts = [texts[octet] for texts, octet in zip(_byte_texts(), octets) if octet]
+    if len(octets) > _TEXT_BYTES:
+        parts += [str(8 * _TEXT_BYTES + i) for i in _members(mask >> 8 * _TEXT_BYTES)]
+    return ",".join(parts) or "-"
 
 
 def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:

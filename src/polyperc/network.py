@@ -1,13 +1,16 @@
 """Threshold layers and networks with an exact integer forward pass.
 
-A layer is a tuple of half-spaces sharing an input dimension; applying it
-yields one bit per unit.  A network is a composable sequence of layers.
-Each layer is lowered once to one integer row ``(strict, bias, weights)``
-per unit: its form times the positive lcm of its coefficient
-denominators, which keeps every sign.  The first layer evaluates a
-rational point over a common denominator; later layers, and the tail
-enumeration kernel (:func:`tail_accepted_set`), sum integer weights over
-set bits.  So no rational arithmetic is done, every bit is the one
+A layer holds one integer row ``(strict, bias, weights)`` per unit, plus
+the unit's positive scale, the lcm of its coefficient denominators: the
+unit is the half-space of the row divided by its scale, so rows and
+scales match units one for one.  ``PerceptronLayer.units`` is a view of
+them as half-spaces.  A layer built from half-spaces keeps them and
+lowers them on first use; synthesis writes rows directly, and
+:func:`format_network` prints from the rows.  A network is a composable
+sequence of layers.  The first layer evaluates a rational point over a
+common denominator; later layers, and the tail enumeration kernel
+(:func:`tail_accepted_set`), sum integer weights over set bits.  So no
+rational arithmetic is done, every bit is the one
 :meth:`HalfSpace.contains` gives, and Python ints keep it exact at any
 magnitude.
 """
@@ -17,19 +20,22 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError
 from .geometry import (
     HalfSpace,
+    InequalityKind,
+    LinearForm,
     Point,
     Row,
     _count,
     _holds,
     _row,
     _rows,
-    format_halfspace,
+    format_rational,
     parse_halfspace,
 )
 from .indexing import _members
@@ -53,35 +59,65 @@ BitVector = tuple[int, ...]
 # stays so that callers reporting the build keep working.
 HAVE_COMPILED = False
 
+# a row's kind, indexed by its strict flag
+_KINDS = (InequalityKind.LAX, InequalityKind.STRICT)
+
 
 def bits_of_index(g: int, n_bits: int) -> BitVector:
     """Bit vector encoded by g: bit i-1 of g is vector entry i."""
     return tuple((g >> i) & 1 for i in range(n_bits))
 
 
-@dataclass(frozen=True)
 class PerceptronLayer:
-    units: tuple[HalfSpace, ...]
+    """Threshold units sharing an input dimension: unit u is the row
+    ``lowered[u]`` over the scale ``scales[u]``, and equality and hashing
+    read both.  ``units`` views them as half-spaces."""
 
-    def __post_init__(self) -> None:
-        if not self.units:
-            raise PreconditionError("empty layer")
-        dims = {u.form.dimension for u in self.units}
-        if len(dims) != 1:
-            raise DimensionError("mixed unit dimensions in layer")
+    def __init__(self, units: Iterable[HalfSpace]):
+        units = tuple(units)
+        dim = _input_dim({u.form.dimension for u in units})
+        self.__dict__.update(units=units, input_dim=dim, output_dim=len(units))
 
-    @property
-    def input_dim(self) -> int:
-        return self.units[0].form.dimension
+    @classmethod
+    def _of_rows(cls, rows: tuple[Row, ...], scales: tuple[int, ...]) -> "PerceptronLayer":
+        """The layer of rows, none all-zero, each in lowest terms over its positive scale."""
+        dim = _input_dim({len(weights) for _, _, weights in rows})
+        layer = object.__new__(cls)
+        layer.__dict__.update(lowered=rows, scales=scales, input_dim=dim, output_dim=len(rows))
+        return layer
 
-    @property
-    def output_dim(self) -> int:
-        return len(self.units)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a layer")
+
+    @cached_property
+    def units(self) -> tuple[HalfSpace, ...]:
+        return tuple(
+            HalfSpace(LinearForm(Fraction(bias, scale), tuple([Fraction(w, scale) for w in weights])), _KINDS[strict])
+            for (strict, bias, weights), scale in zip(self.lowered, self.scales)
+        )
 
     @cached_property
     def lowered(self) -> tuple[Row, ...]:
         """Every unit's row: whether it is strict, then its :meth:`LinearForm.lowered`."""
         return tuple(_row(unit.form, unit.kind) for unit in self.units)
+
+    @cached_property
+    def scales(self) -> tuple[int, ...]:
+        """Every unit's positive scale: the lcm of its coefficient denominators."""
+        return tuple(unit.form._scale() for unit in self.units)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PerceptronLayer):
+            return NotImplemented
+        return self.lowered == other.lowered and self.scales == other.scales
+
+    def __hash__(self) -> int:
+        return hash((self.lowered, self.scales))
+
+    def __repr__(self) -> str:
+        return f"PerceptronLayer(units={self.units!r})"
 
     def point_mask(self, x: Point) -> int:
         """Firing units on a rational point as an int mask (bit u-1 is unit u).
@@ -113,6 +149,15 @@ class PerceptronLayer:
 
     def apply(self, x: Point) -> BitVector:
         return bits_of_index(self.point_mask(x), self.output_dim)
+
+
+def _input_dim(dims: set[int]) -> int:
+    """The one input dimension of a layer's units."""
+    if not dims:
+        raise PreconditionError("empty layer")
+    if len(dims) != 1:
+        raise DimensionError("mixed unit dimensions in layer")
+    return dims.pop()
 
 
 def layer_of(halfspaces: Iterable[HalfSpace]) -> PerceptronLayer:
@@ -231,11 +276,31 @@ def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
 _LAYER_LINE = re.compile(r"^LAYER ([0-9]+) ([0-9]+)$")
 
 
+class _Texts(dict):
+    """The text of each coefficient over one scale, formatted on first use."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, coefficient: int) -> str:
+        text = self[coefficient] = format_rational(Fraction(coefficient, self.scale))
+        return text
+
+
 def format_network(network: PerceptronNetwork) -> str:
+    """The network text; each unit's line is the ``format_halfspace`` line
+    of its row over its scale, and each distinct coefficient of a layer is
+    formatted once."""
     lines = [f"LAYERS={network.depth}"]
     for layer in network.layers:
         lines.append(f"LAYER {layer.input_dim} {layer.output_dim}")
-        lines.extend(format_halfspace(u) for u in layer.units)
+        by_scale: dict[int, _Texts] = {}
+        for (strict, bias, weights), scale in zip(layer.lowered, layer.scales):
+            texts = by_scale.get(scale)
+            if texts is None:
+                texts = by_scale[scale] = _Texts(scale)
+            lines.append(f"{texts[bias]} {' '.join(map(texts.__getitem__, weights))} {_KINDS[strict].value}")
     return "\n".join(lines) + "\n"
 
 

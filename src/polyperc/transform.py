@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
 from .feasibility import _realizable, cell_witness
-from .forms import _unit_form
-from .geometry import HalfSpace, InequalityKind, Point
+from .forms import _unit_row
+from .geometry import HalfSpace, Point
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
-from .network import BitVector, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
+from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
 
 __all__ = [
     "build_dnf_network",
@@ -71,31 +71,36 @@ class EquivalenceResult:
     counterexample_point: Optional[Point] = None
 
 
-def _synthesize(halfspaces, scheme, conj: bool) -> PerceptronNetwork:
-    check_ground(scheme.ambient, len(halfspaces))
+def _synthesize(scheme: Scheme, ground: int, conj: bool) -> tuple[PerceptronLayer, PerceptronLayer]:
+    """The layers after ``ground`` half-spaces: the AND unit (``conj``) or
+    OR unit of each pair, then the dual unit over the selector, written
+    as rows over scale 2."""
+    check_ground(scheme.ambient, ground)
     if scheme.selector.is_empty:
         raise SchemeError("empty selector")
-    units = []
+    rows = []
     for k, (ones, zeros) in enumerate(zip(scheme.ones_masks, scheme.zeros_masks), 1):
         if not ones | zeros:
             raise SchemeError(f"pair G{k} is empty and has no unit form")
         if ones & zeros:
             raise SchemeError(f"pair G{k} is inconsistent")
-        units.append(HalfSpace(_unit_form(ones, zeros, scheme.ambient, conj), InequalityKind.LAX))
-    selector = HalfSpace(_unit_form(scheme.selector.mask, 0, scheme.q, not conj), InequalityKind.LAX)
-    return PerceptronNetwork(tuple(map(layer_of, (halfspaces, units, (selector,)))))
+        rows.append(_unit_row(ones, zeros, ground, conj))
+    selector = _unit_row(scheme.selector.mask, 0, scheme.q, not conj)
+    return PerceptronLayer._of_rows(tuple(rows), (2,) * len(rows)), PerceptronLayer._of_rows((selector,), (2,))
 
 
 def build_dnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
     """3-layer network computing the union over the selector of the
     scheme's cells: half-spaces, then AND units, then one OR unit."""
-    return _synthesize(halfspaces, scheme, True)
+    tail = _synthesize(scheme, len(halfspaces), True)
+    return PerceptronNetwork((layer_of(halfspaces), *tail))
 
 
 def build_cnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
     """Dual synthesis: OR units per pair, one AND unit over the selector,
     computing the intersection of the scheme's cocells."""
-    return _synthesize(halfspaces, scheme, False)
+    tail = _synthesize(scheme, len(halfspaces), False)
+    return PerceptronNetwork((layer_of(halfspaces), *tail))
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:
@@ -174,7 +179,8 @@ def normalize_three_layers(
         if permit_constant:
             return ConstantNetwork(0, network.input_dim)
         raise SchemeError("empty scheme: the network is constantly 0")
-    return build_dnf_network(network.layers[0].units, report.scheme)
+    first = network.layers[0]
+    return PerceptronNetwork((first, *_synthesize(report.scheme, first.output_dim, True)))
 
 
 def _check_prune_ground(ambient: int, count: int) -> None:

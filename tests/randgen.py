@@ -20,10 +20,12 @@ from polyperc import (
     PerceptronLayer,
     PerceptronNetwork,
     Scheme,
+    SchemeError,
     conj_form,
     disj_form,
 )
-from polyperc.indexing import lex_key
+from polyperc.forms import _unit_form
+from polyperc.indexing import check_ground, lex_key
 
 
 def rational(rng: random.Random, span: int = 12, max_den: int = 6) -> Fraction:
@@ -199,6 +201,24 @@ def nonconstant_network(
         candidate = network(rng, input_dim, max_depth, max_width)
         if extract_scheme(candidate).accepted_count > 0:
             return candidate
+
+
+def synthesize(halfspaces, scheme: Scheme, conj: bool) -> PerceptronNetwork:
+    """Oracle for the library's synthesis, which writes rows from the
+    masks: each AND unit (``conj``) or OR unit built as a Fraction form
+    and a lax ``HalfSpace``, with the same errors in the same order."""
+    check_ground(scheme.ambient, len(halfspaces))
+    if scheme.selector.is_empty:
+        raise SchemeError("empty selector")
+    units = []
+    for k, (ones, zeros) in enumerate(zip(scheme.ones_masks, scheme.zeros_masks), 1):
+        if not ones | zeros:
+            raise SchemeError(f"pair G{k} is empty and has no unit form")
+        if ones & zeros:
+            raise SchemeError(f"pair G{k} is inconsistent")
+        units.append(HalfSpace(_unit_form(ones, zeros, scheme.ambient, conj), InequalityKind.LAX))
+    selector = HalfSpace(_unit_form(scheme.selector.mask, 0, scheme.q, not conj), InequalityKind.LAX)
+    return PerceptronNetwork(tuple(map(PerceptronLayer, (halfspaces, units, (selector,)))))
 
 
 def distribute_pairs(clauses) -> set[tuple[int, int]]:

@@ -409,3 +409,31 @@ def test_column_form_round_trips(s):
     norm = normalize_scheme(s)
     assert normalize_scheme(norm) == norm == normalized_by_reference(s)
     assert hash(normalize_scheme(norm)) == hash(norm)
+
+
+def test_format_members_matches_the_member_list():
+    def oracle(mask):
+        return ",".join(map(str, indexing._members(mask))) or "-"
+
+    for mask in range(1 << 12):
+        assert indexing._format_members(mask) == oracle(mask)
+    rng = random.Random(200)
+    for _ in range(500):
+        mask = rng.getrandbits(rng.randint(1, 200))
+        assert indexing._format_members(mask) == oracle(mask)
+
+
+@pytest.mark.parametrize("digits", [600, 4000])
+def test_a_long_member_is_echoed_short(digits):
+    index = "1" + "0" * (digits - 1)
+    with pytest.raises(ParseError) as exc:
+        parse_scheme(f"N=3\nG1: ONES={index} ZEROS=-\nJ=1\n")
+    shown = f"bad index list {index[:32]!r}... ({digits} characters)"
+    assert exc.value.message.startswith(shown) and len(exc.value.message) < 150
+    if digits < 640:  # past the int-string digit limit the index does not parse as a count
+        assert exc.value.message == f"{shown}: member {index[:32]}... ({digits} digits) exceeds ambient 3"
+
+
+def test_index_set_echoes_a_long_member_short():
+    with pytest.raises(ValueError, match=r"^member 1(0){31}\.\.\. \(5001 digits\) exceeds ambient 3$"):
+        IndexSet([10**5000], 3)

@@ -25,6 +25,7 @@ from polyperc import (
     cocell_contains,
     format_network,
     layer_of,
+    lower_layer,
     parse_halfspace,
     parse_network,
 )
@@ -43,11 +44,15 @@ def two_unit_layer():
 def test_layer_construction(two_unit_layer):
     assert two_unit_layer.input_dim == 2
     assert two_unit_layer.output_dim == 2
+    with pytest.raises(AttributeError):
+        two_unit_layer.units = ()
 
 
 def test_layer_rejects_empty():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^empty layer$"):
         layer_of([])
+    with pytest.raises(PreconditionError, match="^empty layer$"):
+        PerceptronLayer._of_rows((), ())
 
 
 def test_network_rejects_no_layers():
@@ -56,8 +61,10 @@ def test_network_rejects_no_layers():
 
 
 def test_layer_rejects_mixed_dimensions():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^mixed unit dimensions in layer$"):
         layer_of([parse_halfspace("0 1 >="), parse_halfspace("0 1 1 >=")])
+    with pytest.raises(DimensionError, match="^mixed unit dimensions in layer$"):
+        PerceptronLayer._of_rows(((False, 1, (1,)), (True, 0, (1, 2))), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -195,6 +202,20 @@ def network_poly_point(draw):
     scheme = Scheme(n, tuple(pairs), selector)
     poly = PresentedPolyhedron(first, scheme, draw(strat.sampled_from(Mode)))
     return PerceptronNetwork(tuple(layers)), poly, tuple(x)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(strat.tuples(strat.integers(1, 3), strat.integers(1, 4)).flatmap(lambda shape: units(*shape)))
+def test_rows_and_units_view_agree_at_any_magnitude(drawn):
+    built = PerceptronLayer(drawn)
+    assert "lowered" not in vars(built)  # a layer of units lowers on first use
+    from_rows = PerceptronLayer._of_rows(built.lowered, built.scales)
+    for layer in (built, from_rows):
+        assert layer.units == tuple(drawn)  # every coefficient ==, kinds equal
+        again = PerceptronLayer(layer.units)
+        assert again == layer == built and hash(again) == hash(layer) == hash(built)
+        assert again.lowered == layer.lowered and again.scales == layer.scales
+        assert lower_layer(layer) == lower_layer(built)
 
 
 def contains_chain(network, x):

@@ -1,6 +1,10 @@
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
@@ -22,12 +26,15 @@ from polyperc import (
     check_equivalence,
     extract_scheme,
     format_halfspace,
+    format_network,
     layer_of,
     normalize_three_layers,
     pair_of_bits,
     parse_halfspace,
     prune_empty_cells,
 )
+from polyperc.forms import _unit_form, _unit_row
+from polyperc.geometry import InequalityKind, _row
 
 import randgen
 
@@ -120,6 +127,62 @@ def test_synthesis_ambient_mismatch(ground):
     s = Scheme(3, (IndexPair.of([1], [], 3),), IndexSet.of([1], 1))
     with pytest.raises(SchemeError):
         build_dnf_network(ground, s)
+
+
+def test_unit_row_matches_the_unit_form_oracle():
+    # every nonempty consistent pair up to n = 7, as an AND and an OR unit
+    for n in range(1, 8):
+        for slots in product(range(3), repeat=n):
+            ones = sum(1 << i for i, slot in enumerate(slots) if slot == 1)
+            zeros = sum(1 << i for i, slot in enumerate(slots) if slot == 2)
+            if not ones | zeros:
+                continue
+            for conj in (True, False):
+                form = _unit_form(ones, zeros, n, conj)
+                assert _unit_row(ones, zeros, n, conj) == _row(form, InequalityKind.LAX)
+                assert form._scale() == 2
+
+
+@strat.composite
+def synthesis_cases(draw):
+    """Half-spaces and a scheme over them that repeats pairs and mixes full
+    with partial ones; now and then the scheme has an empty pair, an
+    inconsistent pair or an empty selector."""
+    rng = random.Random(draw(strat.integers(0, 2**32)))
+    n = draw(strat.integers(1, 9))
+    masks = strat.integers(0, (1 << n) - 1)
+    pool = [randgen.consistent_pair(rng, n) for _ in range(draw(strat.integers(1, 5)))]
+    pool.append(IndexPair(*draw(strat.tuples(masks, masks)), n))
+    picks = draw(strat.lists(strat.sampled_from(pool), min_size=1, max_size=12))
+    if draw(strat.booleans()):
+        full = draw(masks)
+        picks.append(IndexPair(full, full ^ (1 << n) - 1, n))
+    selector = draw(strat.integers(0, (1 << len(picks)) - 1))
+    scheme = Scheme(n, tuple(picks), IndexSet.from_mask(selector, len(picks)))
+    return randgen.halfspaces(rng, n, rng.randint(1, 3)), scheme
+
+
+@hypothesis.given(synthesis_cases())
+def test_synthesis_matches_the_fraction_oracle(case):
+    halfspaces, scheme = case
+    for build, conj in ((build_dnf_network, True), (build_cnf_network, False)):
+        try:
+            expected = randgen.synthesize(halfspaces, scheme, conj)
+        except SchemeError as exc:
+            with pytest.raises(SchemeError, match=f"^{re.escape(str(exc))}$"):
+                build(halfspaces, scheme)
+            continue
+        net = build(halfspaces, scheme)
+        assert net == expected and hash(net) == hash(expected)
+        for layer, oracle in zip(net.layers, expected.layers):
+            assert layer.units == oracle.units
+            assert layer.scales == oracle.scales
+        assert format_network(net) == format_network(expected)
+
+
+def test_normalize_keeps_the_first_layer_object(ground):
+    deep = PerceptronNetwork((layer_of(ground), layer_of([parse_halfspace("-1/2 1 1 >=")])))
+    assert normalize_three_layers(deep).layers[0] is deep.layers[0]
 
 
 def test_pair_of_bits_golden():
