@@ -6,11 +6,11 @@ unit is the half-space of the row divided by its scale, so rows and
 scales match units one for one.  ``PerceptronLayer.units`` is a view of
 them as half-spaces.  A layer built from half-spaces keeps them and
 lowers them on first use; synthesis writes rows directly, and
-:func:`format_network` prints from the rows.  A network is a composable
-sequence of layers.  The first layer evaluates a rational point over a
-common denominator; later layers, and the tail enumeration kernel
-(:func:`tail_accepted_set`), sum integer weights over set bits.  So no
-rational arithmetic is done, every bit is the one
+:func:`format_network` prints a synthesized layer from its rows.  A
+network is a composable sequence of layers.  The first layer evaluates
+a rational point over a common denominator; later layers, and the tail
+enumeration kernel (:func:`tail_accepted_set`), sum integer weights
+over set bits.  So no rational arithmetic is done, every bit is the one
 :meth:`HalfSpace.contains` gives, and Python ints keep it exact at any
 magnitude.
 """
@@ -35,6 +35,7 @@ from .geometry import (
     _holds,
     _row,
     _rows,
+    format_halfspace,
     format_rational,
     parse_halfspace,
 )
@@ -288,19 +289,28 @@ class _Texts(dict):
         return text
 
 
+def _unit_lines(layer: PerceptronLayer) -> list[str]:
+    """The ``format_halfspace`` line of each unit: from the half-spaces a
+    layer holds, and otherwise from each row over its scale, formatting
+    each distinct coefficient of the layer once, so that neither route
+    builds what the layer does not hold."""
+    if "units" in vars(layer):
+        return list(map(format_halfspace, layer.units))
+    lines = []
+    by_scale: dict[int, _Texts] = {}
+    for (strict, bias, weights), scale in zip(layer.lowered, layer.scales):
+        texts = by_scale.get(scale)
+        if texts is None:
+            texts = by_scale[scale] = _Texts(scale)
+        lines.append(f"{texts[bias]} {' '.join(map(texts.__getitem__, weights))} {_KINDS[strict].value}")
+    return lines
+
+
 def format_network(network: PerceptronNetwork) -> str:
-    """The network text; each unit's line is the ``format_halfspace`` line
-    of its row over its scale, and each distinct coefficient of a layer is
-    formatted once."""
     lines = [f"LAYERS={network.depth}"]
     for layer in network.layers:
         lines.append(f"LAYER {layer.input_dim} {layer.output_dim}")
-        by_scale: dict[int, _Texts] = {}
-        for (strict, bias, weights), scale in zip(layer.lowered, layer.scales):
-            texts = by_scale.get(scale)
-            if texts is None:
-                texts = by_scale[scale] = _Texts(scale)
-            lines.append(f"{texts[bias]} {' '.join(map(texts.__getitem__, weights))} {_KINDS[strict].value}")
+        lines += _unit_lines(layer)
     return "\n".join(lines) + "\n"
 
 

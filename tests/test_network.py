@@ -216,6 +216,10 @@ def test_rows_and_units_view_agree_at_any_magnitude(drawn):
         assert again == layer == built and hash(again) == hash(layer) == hash(built)
         assert again.lowered == layer.lowered and again.scales == layer.scales
         assert lower_layer(layer) == lower_layer(built)
+    # format_network prints a layer of rows, its units never read, as it prints the half-spaces
+    rows_only = PerceptronLayer._of_rows(built.lowered, built.scales)
+    assert format_network(PerceptronNetwork((rows_only,))) == format_network(PerceptronNetwork((built,)))
+    assert "units" not in vars(rows_only)
 
 
 def contains_chain(network, x):
