@@ -8,6 +8,9 @@ upper bound.  A combined constraint is strict when either parent is,
 which is what keeps open and closed half-spaces apart without any
 perturbation.  Witness points come from back-substitution through the
 recorded bounds, the only step that divides.
+
+Every cell's rows come from one builder, :func:`_cell_rows`: its ones
+rows as they are, then the complements of its zeros rows.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
-from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _holds, _row
+from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _complement, _holds, _row
 from .indexing import IndexPair, _members
 
 __all__ = [
     "InequalitySystem",
-    "system_of_cell",
     "is_feasible",
     "witness",
-    "cell_is_empty",
     "cell_witness",
 ]
 
@@ -63,19 +64,24 @@ class InequalitySystem:
         return True
 
 
-def system_of_cell(
-    halfspaces: Sequence[HalfSpace], pair: IndexPair
-) -> InequalitySystem:
-    """Constraints of the cell: ones half-spaces as-is, zeros complemented."""
+def _cell_rows(rows: Sequence[Row], ones: int, zeros: int) -> list[Row]:
+    """The rows of a cell: row i of each ones index i as it is, then the
+    complement of row i of each zeros index i, each in ascending order."""
+    return [rows[i - 1] for i in _members(ones)] + [_complement(rows[i - 1]) for i in _members(zeros)]
+
+
+def _pair_rows(halfspaces: Sequence[HalfSpace], pair: IndexPair) -> tuple[list[Row], int]:
+    """The rows of the pair's cell over the half-spaces, and their one
+    dimension; the empty pair's is the first half-space's."""
     if pair.ambient != len(halfspaces):
-        raise PreconditionError(
-            f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}"
-        )
+        raise PreconditionError(f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}")
     if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
         raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
-    chosen = [halfspaces[i - 1] for i in pair.ones]
-    chosen += [halfspaces[i - 1].complement() for i in pair.zeros]
-    return InequalitySystem(tuple((h.form, h.kind) for h in chosen))
+    rows = _cell_rows([_row(h.form, h.kind) for h in halfspaces], pair.ones_mask, pair.zeros_mask)
+    dims = {len(coeffs) for _, _, coeffs in rows} or {h.dimension for h in halfspaces[:1]}
+    if len(dims) > 1:
+        raise DimensionError("mixed constraint dimensions")
+    return rows, dims.pop() if dims else 0
 
 
 def _violated_constant(strict: bool, bias: int) -> bool:
@@ -201,6 +207,16 @@ def _solve(rows: list[Row], dimension: int, cap: int) -> Optional[tuple[int, lis
     return den, coords
 
 
+def _point(rows: list[Row], dimension: int, cap: int) -> Optional[Point]:
+    """A rational point of ``dimension`` coordinates satisfying every row, or None."""
+    point = _solve(rows, dimension, cap)
+    if point is None:
+        return None
+    den, coords = point
+    assert all(_holds(row, den, coords) for row in rows)
+    return tuple(Fraction(c, den) for c in coords)
+
+
 def witness(
     system: InequalitySystem,
     cap: int = DEFAULT_CONSTRAINT_CAP,
@@ -211,24 +227,7 @@ def witness(
     For an empty system the ambient dimension cannot be inferred, so it
     may be supplied; otherwise the empty point is returned.
     """
-    dimension = system.dimension
-    if dimension is None:
-        return tuple(Fraction(0) for _ in range(dim)) if dim else ()
-    rows = _rows(system.constraints)
-    point = _solve(rows, dimension, cap)
-    if point is None:
-        return None
-    den, coords = point
-    assert all(_holds(row, den, coords) for row in rows)
-    return tuple(Fraction(c, den) for c in coords)
-
-
-def cell_is_empty(
-    halfspaces: Sequence[HalfSpace],
-    pair: IndexPair,
-    cap: int = DEFAULT_CONSTRAINT_CAP,
-) -> bool:
-    return not is_feasible(system_of_cell(halfspaces, pair), cap)
+    return _point(_rows(system.constraints), system.dimension or dim or 0, cap)
 
 
 def cell_witness(
@@ -236,13 +235,10 @@ def cell_witness(
     pair: IndexPair,
     cap: int = DEFAULT_CONSTRAINT_CAP,
 ) -> Optional[Point]:
-    dim = halfspaces[0].form.dimension if halfspaces else None
-    return witness(system_of_cell(halfspaces, pair), cap, dim=dim)
+    return _point(*_pair_rows(halfspaces, pair), cap)
 
 
-def _realizable(
-    halfspaces: Sequence[HalfSpace], pairs: Sequence[tuple[int, int, int]]
-) -> Iterator[int]:
+def _realizable(rows: Sequence[Row], pairs: Sequence[tuple[int, int, int]]) -> Iterator[int]:
     """Yield the keys of the ``(key, ones, zeros)`` mask triples with nonempty cells.
 
     One depth-first walk splits a group on the highest half-space its pairs
@@ -253,21 +249,17 @@ def _realizable(
     pairs in ascending order, the first key yielded is the smallest
     realizable one.
     """
-    dims = {h.dimension for h in halfspaces}
-    spans = [sum(1 << i for i, h in enumerate(halfspaces) if h.dimension == d) for d in dims]
+    dims = [len(coeffs) for _, _, coeffs in rows]
+    spans = [sum(1 << i for i, dim in enumerate(dims) if dim == d) for d in set(dims)]
     if len(spans) > 1 and any(sum(bool((o | z) & span) for span in spans) > 1 for _, o, z in pairs):
         raise DimensionError("mixed constraint dimensions")
-    rows = _rows((h.form, h.kind) for h in halfspaces)
-    # the complement negates the form, which keeps its denominators, and swaps lax with strict
-    flipped = [(not strict, -bias, tuple(-c for c in coeffs)) for strict, bias, coeffs in rows]
     # (1, ()) is the origin in any dimension; a pair taking a half-space both ways is empty
     stack = [([], (1, ()), [], [entry for entry in pairs if not entry[1] & entry[2]])]
     while stack:
         system, point, extra, group = stack.pop()
         if len(group) == 1:
             key, ones, zeros = group[0]
-            pending = extra + [rows[i - 1] for i in _members(ones)]
-            pending += [flipped[i - 1] for i in _members(zeros)]
+            pending = extra + _cell_rows(rows, ones, zeros)
             held = all(_holds(row, *point) for row in pending)
             if held or _eliminate(system + pending, len(pending[0][2]), DEFAULT_CONSTRAINT_CAP)[0]:
                 yield key
@@ -287,8 +279,8 @@ def _realizable(
             i = max(ones | zeros for _, ones, zeros in rest).bit_length() - 1
             bit = 1 << i
             children = (
-                ([rows[i]], [(k, o ^ bit, z) for k, o, z in rest if o & bit]),
-                ([flipped[i]], [(k, o, z ^ bit) for k, o, z in rest if z & bit]),
+                (_cell_rows(rows, bit, 0), [(k, o ^ bit, z) for k, o, z in rest if o & bit]),
+                (_cell_rows(rows, 0, bit), [(k, o, z ^ bit) for k, o, z in rest if z & bit]),
                 ([], [(k, o, z) for k, o, z in rest if not (o | z) & bit]),
             )
             stack += [(system, point, extra, child) for extra, child in children if child]

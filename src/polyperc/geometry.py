@@ -92,6 +92,13 @@ def _int_text(n: int) -> str:
     return str(Decimal(n))
 
 
+def _shown_int(n: int) -> str:
+    """How an error message echoes an integer: in full up to 64 digits,
+    and past that as :func:`_shown` shortens a text."""
+    text = _int_text(n)
+    return text if len(text) <= 64 else f"{text[:32]}... ({len(text)} digits)"
+
+
 def format_rational(value: Fraction) -> str:
     """Render as ``p/q``, or a bare integer when the denominator is 1."""
     try:
@@ -120,9 +127,6 @@ class InequalityKind(Enum):
 
     LAX = ">="
     STRICT = ">"
-
-    def flipped(self) -> "InequalityKind":
-        return InequalityKind.STRICT if self is InequalityKind.LAX else InequalityKind.LAX
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,26 @@ def _row(form: LinearForm, kind: InequalityKind) -> Row:
     return (kind is InequalityKind.STRICT, *form.lowered())
 
 
+def _complement(row: Row) -> Row:
+    """The row of the complement: the form negated, lax and strict swapped."""
+    strict, bias, coeffs = row
+    return (not strict, -bias, tuple([-c for c in coeffs]))
+
+
 def _holds(row: Row, den: int, coords: Sequence[int]) -> bool:
     """Whether the point ``coords / den`` (``den > 0``, absent coordinates 0) satisfies the row."""
     strict, bias, coeffs = row
     value = bias * den + sum(map(mul, coeffs, coords))
     return value > 0 if strict else value >= 0
+
+
+def _lowered_point(x: Point, dimension: int) -> tuple[int, list[int]]:
+    """A point of ``dimension`` coordinates as a positive common
+    denominator and integer coordinates, as :func:`_holds` takes it."""
+    if len(x) != dimension:
+        raise DimensionError(f"point has {len(x)} coordinates, form expects {dimension}")
+    den = math.lcm(*[c.denominator for c in x])
+    return den, [c.numerator * (den // c.denominator) for c in x]
 
 
 @dataclass(frozen=True)
@@ -225,7 +244,8 @@ class HalfSpace:
 
     def complement(self) -> "HalfSpace":
         """Set complement: negate the form and swap lax with strict."""
-        return HalfSpace(self.form.negated(), self.kind.flipped())
+        kind = InequalityKind.STRICT if self.kind is InequalityKind.LAX else InequalityKind.LAX
+        return HalfSpace(self.form.negated(), kind)
 
 
 _OPERATORS = {kind.value: kind for kind in InequalityKind}
@@ -262,11 +282,14 @@ def _rows(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, st
 
 
 def _count(text: str) -> int | None:
-    """An unsigned run of ASCII digits as an int; None for any other text."""
-    try:
-        return int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # a run past the interpreter's int-string digit limit
+    """An unsigned run of at most :data:`MAX_DIGITS` ASCII digits as an
+    int; None for any other text."""
+    if len(text) > MAX_DIGITS or not (text.isascii() and text.isdigit()):
         return None
+    try:
+        return int(text)
+    except ValueError:  # past the int-string digit limit, read as parse_rational does
+        return int(Decimal(text))
 
 
 def parse_halfspace_block(lines: Iterable[str]) -> tuple[HalfSpace, ...]:

@@ -20,7 +20,7 @@ from operator import add, and_, floordiv, lshift, lt, mod, mul, or_, rshift
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, SchemeError, SizeCapError
-from .geometry import _count, _int_text, _rows, _shown
+from .geometry import _count, _rows, _shown, _shown_int
 
 __all__ = [
     "IndexSet",
@@ -44,13 +44,6 @@ _BYTE_MEMBERS = [tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in ran
 _TEXT_BYTES = 8
 
 
-def _shown_member(member: int) -> str:
-    """How an error message echoes a member: in full up to 64 digits, and
-    past that as ``geometry._shown`` shortens a text."""
-    text = _int_text(member)
-    return text if len(text) <= 64 else f"{text[:32]}... ({len(text)} digits)"
-
-
 def _checked(members: Iterable[int], ambient: int) -> tuple[int, ...]:
     """The members, once they are strictly increasing positive integers,
     all at most ``ambient``; ``ValueError`` otherwise."""
@@ -60,7 +53,7 @@ def _checked(members: Iterable[int], ambient: int) -> tuple[int, ...]:
     if not all(map(lt, (0,) + members, members)):
         raise ValueError("members must be strictly increasing positive integers")
     if members and members[-1] > ambient:
-        raise ValueError(f"member {_shown_member(members[-1])} exceeds ambient {ambient}")
+        raise ValueError(f"member {_shown_int(members[-1])} exceeds ambient {_shown_int(ambient)}")
     return members
 
 
@@ -173,7 +166,7 @@ class IndexPair:
 def check_ground(ambient: int, halfspaces: int) -> None:
     """A scheme over ``ambient`` indices needs exactly that many half-spaces."""
     if ambient != halfspaces:
-        raise SchemeError(f"scheme over {ambient} pairs with {halfspaces} half-spaces")
+        raise SchemeError(f"scheme over {_shown_int(ambient)} pairs with {halfspaces} half-spaces")
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -17,7 +17,6 @@ magnitude.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +32,10 @@ from .geometry import (
     Row,
     _count,
     _holds,
+    _lowered_point,
     _row,
     _rows,
+    _shown_int,
     format_halfspace,
     format_rational,
     parse_halfspace,
@@ -45,7 +46,6 @@ __all__ = [
     "PerceptronLayer",
     "PerceptronNetwork",
     "layer_of",
-    "architecture",
     "bits_of_index",
     "parse_network",
     "format_network",
@@ -126,12 +126,7 @@ class PerceptronLayer:
         The point is brought to a common denominator D > 0, so a unit fires
         iff ``bias*D + sum(w_i * D*x_i)`` is > 0, or >= 0 when it is lax.
         """
-        if len(x) != self.input_dim:
-            raise DimensionError(
-                f"point has {len(x)} coordinates, form expects {self.input_dim}"
-            )
-        denom = math.lcm(*[c.denominator for c in x])
-        coords = [c.numerator * (denom // c.denominator) for c in x]
+        denom, coords = _lowered_point(x, self.input_dim)
         mask = 0
         for u, row in enumerate(self.lowered):
             if _holds(row, denom, coords):
@@ -269,11 +264,6 @@ class PerceptronNetwork:
         return bits_of_index(mask, self.output_dim)
 
 
-def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
-    """Input dimension followed by every layer's output dimension."""
-    return (network.input_dim,) + tuple(l.output_dim for l in network.layers)
-
-
 _LAYER_LINE = re.compile(r"^LAYER ([0-9]+) ([0-9]+)$")
 
 
@@ -347,7 +337,7 @@ def parse_network(text: str) -> PerceptronNetwork:
             if unit.form.dimension != in_dim:
                 raise ParseError(
                     f"half-space dimension {unit.form.dimension} does not "
-                    f"match declared layer input {in_dim}",
+                    f"match declared layer input {_shown_int(in_dim)}",
                     hs_lineno,
                 )
             units.append(unit)

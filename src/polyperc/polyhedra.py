@@ -16,9 +16,9 @@ from operator import and_
 from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
-from .feasibility import system_of_cell
-from .geometry import HalfSpace, Point, _rows, _shown, format_halfspace, parse_halfspace
-from .indexing import IndexPair, IndexSet, Scheme, _members, _sorted_pairs, check_ground, format_scheme
+from .feasibility import _pair_rows
+from .geometry import HalfSpace, Point, _holds, _lowered_point, _rows, _shown, format_halfspace, parse_halfspace
+from .indexing import IndexPair, Scheme, _members, _sorted_pairs, check_ground, format_scheme
 from .indexing import parse_scheme_lines
 from .network import PerceptronLayer
 
@@ -32,7 +32,6 @@ __all__ = [
     "complement_poly",
     "cnf_to_dnf",
     "dnf_to_cnf",
-    "halfspace_presentation",
     "parse_bundle",
     "format_bundle",
 ]
@@ -47,7 +46,9 @@ def cell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) ->
     """Membership in the intersection of the ones half-spaces and the
     complements of the zeros half-spaces.  An inconsistent pair denotes
     the empty set; the empty pair denotes the whole space."""
-    return int(system_of_cell(halfspaces, pair).satisfies(x))
+    rows, dimension = _pair_rows(halfspaces, pair)
+    den, coords = _lowered_point(x, dimension)
+    return int(all(_holds(row, den, coords) for row in rows))
 
 
 def cocell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) -> int:
@@ -200,15 +201,6 @@ def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
     _require_dnf(k, "complement")
     swapped = [(zeros, ones) for ones, zeros in k._selected_masks]
     return _dnf_of_pairs(k.halfspaces, _distribute(swapped, len(k.halfspaces)))
-
-
-def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:
-    """Scheme presenting the i-th half-space (or its complement) as a
-    single-cell DNF polyhedron."""
-    if not 1 <= i <= n:
-        raise PreconditionError(f"index {i} out of range 1..{n}")
-    pair = IndexPair.of((), (i,), n) if complementary else IndexPair.of((i,), (), n)
-    return Scheme(n, (pair,), IndexSet.of((1,), 1))
 
 
 def format_bundle(k: PresentedPolyhedron) -> str:

@@ -18,9 +18,9 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
-from .feasibility import _realizable, cell_witness
+from .feasibility import DEFAULT_CONSTRAINT_CAP, _cell_rows, _point, _realizable
 from .forms import _unit_row
-from .geometry import HalfSpace, Point
+from .geometry import HalfSpace, Point, Row, _row, _shown_int
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
 from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
 
@@ -155,7 +155,7 @@ def extract_scheme(
     zeros = tuple([full ^ g for g in ones])
     scheme = Scheme._of_columns(n1, ones, zeros, IndexSet.from_mask((1 << len(ones)) - 1, len(ones)))
     if prune:
-        scheme = prune_empty_cells(network.layers[0].units, scheme)
+        scheme = _pruned(network.layers[0].lowered, scheme)
     return ExtractionReport(
         scheme=scheme,
         enumerated_count=1 << n1,
@@ -185,16 +185,21 @@ def normalize_three_layers(
 
 def _check_prune_ground(ambient: int, count: int) -> None:
     if ambient != count:
-        raise PreconditionError(f"scheme over {ambient} with {count} half-spaces")
+        raise PreconditionError(f"scheme over {_shown_int(ambient)} with {count} half-spaces")
 
 
 def prune_empty_cells(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
     _check_prune_ground(scheme.ambient, len(halfspaces))
+    return _pruned([_row(h.form, h.kind) for h in halfspaces], scheme)
+
+
+def _pruned(rows: Sequence[Row], scheme: Scheme) -> Scheme:
+    """The scheme without the selected pairs whose cells over the rows are empty."""
     ones, zeros, chosen = scheme.ones_masks, scheme.zeros_masks, scheme.selector.members
     entries = [(j, ones[j - 1], zeros[j - 1]) for j in chosen]
     chosen = set(chosen)
-    empty = chosen.difference(_realizable(halfspaces, entries))
+    empty = chosen.difference(_realizable(rows, entries))
     keep = [j for j in range(1, scheme.q + 1) if j not in empty]
     selector = IndexSet.from_mask(_mask_of([k for k, j in enumerate(keep, 1) if j in chosen]), len(keep))
     kept = tuple([ones[j - 1] for j in keep]), tuple([zeros[j - 1] for j in keep])
@@ -242,12 +247,12 @@ def check_equivalence(
     n1 = left.layers[0].output_dim
     accepted_left = set(_accepted_indices(left, cap))
     accepted_right = set(_accepted_indices(right, cap))
-    halfspaces = left.layers[0].units
+    rows = left.layers[0].lowered
     checked = 1 << n1
     full = (1 << n1) - 1
     differing = [(g, g, full ^ g) for g in sorted(accepted_left ^ accepted_right)]
-    for g in _realizable(halfspaces, differing):
-        point = cell_witness(halfspaces, pair_of_bits(g, n1))
+    for g in _realizable(rows, differing):
+        point = _point(_cell_rows(rows, g, full ^ g), left.input_dim, DEFAULT_CONSTRAINT_CAP)
         bits = bits_of_index(g, n1)
         return EquivalenceResult(False, mode, checked, counterexample_bits=bits, counterexample_point=point)
     return EquivalenceResult(equivalent=True, mode=mode, checked=checked)

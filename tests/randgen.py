@@ -16,14 +16,18 @@ from polyperc import (
     IndexPair,
     IndexSet,
     InequalityKind,
+    InequalitySystem,
     LinearForm,
     PerceptronLayer,
     PerceptronNetwork,
+    PreconditionError,
     Scheme,
     SchemeError,
     conj_form,
     disj_form,
+    is_feasible,
 )
+from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP
 from polyperc.forms import _unit_form
 from polyperc.indexing import check_ground, lex_key
 
@@ -252,3 +256,36 @@ def sorted_pairs(ambient: int, masks, selected) -> Scheme:
     pairs = [IndexPair(distinct[k // width], distinct[k % width], ambient) for k in keys]
     chosen = [j for j, key in enumerate(keys, 1) if key in picked]
     return Scheme(ambient, pairs, IndexSet(chosen, len(keys)))
+
+
+def system_of_cell(halfspaces, pair: IndexPair) -> InequalitySystem:
+    """Oracle for the library's cell rows: the pair's ones half-spaces as
+    they are, then its zeros half-spaces complemented as ``HalfSpace``s,
+    each in ascending index order, as a Fraction ``InequalitySystem``."""
+    if pair.ambient != len(halfspaces):
+        raise PreconditionError(f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}")
+    if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
+        raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
+    chosen = [halfspaces[i - 1] for i in pair.ones]
+    chosen += [halfspaces[i - 1].complement() for i in pair.zeros]
+    return InequalitySystem(tuple((h.form, h.kind) for h in chosen))
+
+
+def cell_is_empty(halfspaces, pair: IndexPair, cap: int = DEFAULT_CONSTRAINT_CAP) -> bool:
+    """Oracle for the realizable-cell search: one elimination of the
+    pair's Fraction system."""
+    return not is_feasible(system_of_cell(halfspaces, pair), cap)
+
+
+def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:
+    """Scheme presenting the i-th of n half-spaces (or its complement) as
+    a single-cell DNF polyhedron."""
+    if not 1 <= i <= n:
+        raise PreconditionError(f"index {i} out of range 1..{n}")
+    pair = IndexPair.of((), (i,), n) if complementary else IndexPair.of((i,), (), n)
+    return Scheme(n, (pair,), IndexSet.of((1,), 1))
+
+
+def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
+    """Input dimension followed by every layer's output dimension."""
+    return (network.input_dim,) + tuple(layer.output_dim for layer in network.layers)

@@ -34,7 +34,6 @@ from polyperc import (
     format_halfspace,
     format_network,
     format_scheme,
-    halfspace_presentation,
     intersection,
     is_feasible,
     normalize_three_layers,
@@ -226,12 +225,12 @@ def test_criterion_5_boolean_algebra_laws():
             as_cnf = dnf_to_cnf(a)
             back = cnf_to_dnf(as_cnf)
             presentations = [
-                (PresentedPolyhedron(hs, halfspace_presentation(i, n), Mode.DNF), i, 1)
+                (PresentedPolyhedron(hs, randgen.halfspace_presentation(i, n), Mode.DNF), i, 1)
                 for i in range(1, n + 1)
             ] + [
                 (
                     PresentedPolyhedron(
-                        hs, halfspace_presentation(i, n, complementary=True), Mode.DNF
+                        hs, randgen.halfspace_presentation(i, n, complementary=True), Mode.DNF
                     ),
                     i,
                     0,

@@ -3,10 +3,11 @@ equivalence.
 
 The search must decide every selected pair exactly as one elimination of
 the pair's own system does, so the reference here is the per-pair
-``cell_is_empty`` loop.  The digests pin the points that ``witness``,
-``cell_witness``, exact ``check_equivalence`` and the CLI print; they were
-computed with one ``Fraction`` sum per bound in back-substitution and a
-per-pair prune loop, and must not move.
+``randgen.cell_is_empty`` loop over the Fraction cell systems.  The
+digests pin the points that ``witness``, ``cell_witness``, exact
+``check_equivalence`` and the CLI print; they were computed with one
+``Fraction`` sum per bound in back-substitution and a per-pair prune
+loop, and must not move.
 """
 
 import hashlib
@@ -31,13 +32,12 @@ from polyperc import (
     PerceptronNetwork,
     Scheme,
     SizeCapError,
-    cell_is_empty,
+    cell_contains,
     cell_witness,
     check_equivalence,
     format_halfspace,
     format_network,
     prune_empty_cells,
-    system_of_cell,
     witness,
 )
 from polyperc.cli import console_main
@@ -82,10 +82,47 @@ def realizable_cell_points(rng, count):
             pair = full_pair(g, n)
             point = cell_witness(hs, pair)
             if point is not None:
-                cell = system_of_cell(hs, pair)
+                cell = randgen.system_of_cell(hs, pair)
                 reverse = type(cell)(cell.constraints[::-1])
                 out.append((g, point, witness(reverse)))
     return out
+
+
+@strat.composite
+def arrangements_with_a_pair(draw):
+    """A ``parallel_arrangement`` of 1 to 7 half-spaces in 1 to 4
+    dimensions, one full, partial or inconsistent pair over it, and a
+    random point."""
+    m, n = draw(strat.integers(1, 4)), draw(strat.integers(1, 7))
+    rng = random.Random(draw(strat.integers(0, 2**32 - 1)))
+    hs = parallel_arrangement(rng, n, m)
+    masks = strat.integers(0, (1 << n) - 1)
+    ones, zeros = draw(masks), draw(masks)
+    shape = draw(strat.sampled_from(["full", "partial", "inconsistent"]))
+    if shape == "full":
+        zeros = ones ^ ((1 << n) - 1)
+    elif shape == "partial":
+        zeros &= ~ones
+    else:
+        clash = 1 << draw(strat.integers(0, n - 1))
+        ones, zeros = ones | clash, zeros | clash
+    return hs, IndexPair(ones, zeros, n), randgen.point(rng, m)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(arrangements_with_a_pair())
+def test_cell_route_matches_the_fraction_oracle(case):
+    # the integer cell rows against the Fraction system of complemented
+    # half-spaces: the same witness bytes, the same emptiness, and the same
+    # membership at a random point, the witness and the origin
+    hs, pair, x = case
+    cell = randgen.system_of_cell(hs, pair)
+    point = cell_witness(hs, pair)
+    assert repr(point) == repr(witness(cell, dim=hs[0].dimension))
+    assert (point is None) == randgen.cell_is_empty(hs, pair)
+    origin = (Fraction(0),) * hs[0].dimension
+    for y in (x, origin) if point is None else (x, origin, point):
+        assert cell_contains(hs, pair, y) == int(cell.satisfies(y))
 
 
 def shared_first_layer_pairs(rng, count):
@@ -155,11 +192,11 @@ def test_cli_equiv_and_feasible_pinned(tmp_path, capsys):
 
 
 def pruned_pair_by_pair(halfspaces, scheme, cap=feasibility.DEFAULT_CONSTRAINT_CAP):
-    """The reference: one ``cell_is_empty`` per selected pair."""
+    """The reference: one ``randgen.cell_is_empty`` per selected pair."""
     keep, selected = [], []
     for k, pair in enumerate(scheme.pairs, 1):
         chosen = k in scheme.selector
-        if chosen and cell_is_empty(halfspaces, pair, cap):
+        if chosen and randgen.cell_is_empty(halfspaces, pair, cap):
             continue
         keep.append(pair)
         if chosen:
@@ -230,8 +267,8 @@ def test_prefix_over_the_cap_falls_back_to_each_cell(monkeypatch):
     )
     pairs = (IndexPair(0b111111111, 0, 9), IndexPair(0b111111011, 0b100, 9))
     with pytest.raises(SizeCapError):
-        cell_is_empty(hs, IndexPair(0b111111000, 0, 9), cap=8)
-    assert all(cell_is_empty(hs, pair, cap=8) for pair in pairs)
+        randgen.cell_is_empty(hs, IndexPair(0b111111000, 0, 9), cap=8)
+    assert all(randgen.cell_is_empty(hs, pair, cap=8) for pair in pairs)
     monkeypatch.setattr(feasibility, "DEFAULT_CONSTRAINT_CAP", 8)
     assert prune_empty_cells(hs, Scheme(9, pairs, IndexSet.of([1, 2], 2))).q == 0
 
@@ -254,7 +291,8 @@ def test_first_search_finds_the_smallest_realizable_full_pair(case, cap, data):
         return
     entries = [(g, g, full_pair(g, n).zeros_mask) for g in keys]
     with mock.patch.object(feasibility, "DEFAULT_CONSTRAINT_CAP", cap):
-        assert set(islice(feasibility._realizable(halfspaces, entries), 1)) == smallest
+        rows = PerceptronLayer(halfspaces).lowered
+        assert set(islice(feasibility._realizable(rows, entries), 1)) == smallest
 
 
 def test_prune_over_thousands_of_halfspaces():

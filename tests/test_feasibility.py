@@ -14,11 +14,10 @@ from polyperc import (
     LinearForm,
     PreconditionError,
     SizeCapError,
-    cell_is_empty,
+    cell_contains,
     cell_witness,
     is_feasible,
     parse_halfspace,
-    system_of_cell,
     witness,
 )
 
@@ -107,29 +106,49 @@ def test_mixed_dimensions_rejected():
 
 
 def test_system_of_cell_golden():
+    # the tests' Fraction oracle for a cell's rows
     hs = (parse_halfspace("0 1 >="),)
-    s = system_of_cell(hs, IndexPair.of([], [1], 1))
+    s = randgen.system_of_cell(hs, IndexPair.of([], [1], 1))
     assert len(s.constraints) == 1
     form, kind = s.constraints[0]
     assert kind is InequalityKind.STRICT
     assert form.weights == (Fraction(-1),)
-    assert system_of_cell(hs, IndexPair.of([], [], 1)).constraints == ()
+    assert randgen.system_of_cell(hs, IndexPair.of([], [], 1)).constraints == ()
 
 
 @pytest.mark.parametrize("pair", [IndexPair(0b10, 0, 1), IndexPair(0, 0b11, 1), IndexPair(-1, 0, 1)])
 def test_system_of_cell_rejects_masks_outside_ambient(pair):
     hs = (parse_halfspace("0 1 >="),)
     with pytest.raises(PreconditionError, match="outside 1..1"):
-        system_of_cell(hs, pair)
+        randgen.system_of_cell(hs, pair)
 
 
 def test_system_of_cell_rejects_a_pair_of_another_width():
     hs = (parse_halfspace("0 1 >="),)
     with pytest.raises(PreconditionError, match="^pair over 2 half-spaces applied to 1$"):
-        system_of_cell(hs, IndexPair.of([1], [2], 2))
+        randgen.system_of_cell(hs, IndexPair.of([1], [2], 2))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (IndexPair(0b10, 0, 1), "^pair names an index outside 1..1$"),
+        (IndexPair(0, 0b11, 1), "^pair names an index outside 1..1$"),
+        (IndexPair(-1, 0, 1), "^pair names an index outside 1..1$"),
+        (IndexPair.of([1], [2], 2), "^pair over 2 half-spaces applied to 1$"),
+    ],
+    ids=["ones-past-ambient", "zeros-past-ambient", "negative-mask", "other-width"],
+)
+def test_cell_witness_and_cell_contains_refuse_the_same_pairs(pair, message):
+    hs = (parse_halfspace("0 1 >="),)
+    with pytest.raises(PreconditionError, match=message):
+        cell_witness(hs, pair)
+    with pytest.raises(PreconditionError, match=message):
+        cell_contains(hs, pair, (Fraction(0),))
 
 
 def test_cell_is_empty_golden():
+    cell_is_empty = randgen.cell_is_empty
     hs = (parse_halfspace("0 1 >="), parse_halfspace("1 -1 >="))
     # inside the slab both constraints can hold together
     assert not cell_is_empty(hs, IndexPair.of([1, 2], [], 2))
@@ -150,7 +169,7 @@ def test_cell_witness_lands_in_cell():
         g = randgen.consistent_pair(rng, n)
         w = cell_witness(hs, g)
         if w is None:
-            assert cell_is_empty(hs, g)
+            assert randgen.cell_is_empty(hs, g)
             continue
         found += 1
         for i in g.ones.members:

@@ -430,8 +430,14 @@ def test_a_long_member_is_echoed_short(digits):
         parse_scheme(f"N=3\nG1: ONES={index} ZEROS=-\nJ=1\n")
     shown = f"bad index list {index[:32]!r}... ({digits} characters)"
     assert exc.value.message.startswith(shown) and len(exc.value.message) < 150
-    if digits < 640:  # past the int-string digit limit the index does not parse as a count
-        assert exc.value.message == f"{shown}: member {index[:32]}... ({digits} digits) exceeds ambient 3"
+    # the same text at any int-string digit limit
+    assert exc.value.message == f"{shown}: member {index[:32]}... ({digits} digits) exceeds ambient 3"
+
+
+@pytest.mark.parametrize("digits", [600, 700, 4000])
+def test_a_long_ambient_is_refused_as_too_large(digits):
+    with pytest.raises(ParseError, match=r"^line 1: scheme ambient must be at most 16777216$"):
+        parse_scheme(f"N={'9' * digits}\nJ=-\n")
 
 
 def test_index_set_echoes_a_long_member_short():

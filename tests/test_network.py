@@ -19,10 +19,7 @@ from polyperc import (
     PreconditionError,
     PresentedPolyhedron,
     Scheme,
-    architecture,
     bits_of_index,
-    cell_contains,
-    cocell_contains,
     format_network,
     layer_of,
     lower_layer,
@@ -83,7 +80,7 @@ def test_layer_apply_golden(two_unit_layer, x, expected):
 def test_architecture():
     rng = random.Random(1)
     net = randgen.network(rng, 3)
-    arch = architecture(net)
+    arch = randgen.architecture(net)
     assert arch[0] == 3
     assert arch[1:] == tuple(l.output_dim for l in net.layers)
     assert arch[-1] == 1
@@ -239,11 +236,12 @@ def test_integer_evaluator_matches_fraction_oracle(case):
     assert net.forward(x) == contains_chain(net, x)
     first = PerceptronNetwork(net.layers[:1])
     assert poly.signature(x) == contains_chain(first, x)
+    # a cell is its Fraction system, and a cocell the complement of the swapped pair's cell
     pairs = poly.scheme.selected_pairs()
     if poly.mode is Mode.DNF:
-        expect = any(cell_contains(poly.halfspaces, p, x) for p in pairs)
+        expect = any(randgen.system_of_cell(poly.halfspaces, p).satisfies(x) for p in pairs)
     else:
-        expect = all(cocell_contains(poly.halfspaces, p, x) for p in pairs)
+        expect = not any(randgen.system_of_cell(poly.halfspaces, p.swapped()).satisfies(x) for p in pairs)
     assert poly.member(x) == int(expect)
     for wrong in (x + (Fraction(0),), x[:-1]):
         with pytest.raises(DimensionError):
@@ -262,7 +260,7 @@ def test_network_round_trip_golden():
         "-3/2 1 1 >=\n"
     )
     net = parse_network(text)
-    assert architecture(net) == (2, 2, 1)
+    assert randgen.architecture(net) == (2, 2, 1)
     assert format_network(net) == text
 
 

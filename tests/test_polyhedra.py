@@ -24,7 +24,6 @@ from polyperc import (
     disj_unit,
     dnf_to_cnf,
     format_bundle,
-    halfspace_presentation,
     intersection,
     normalize_scheme,
     parse_bundle,
@@ -57,6 +56,9 @@ def test_cell_contains_golden(ground):
     assert cell_contains(ground, g, pt(1, -1)) == 1
     assert cell_contains(ground, g, pt(1, 1)) == 0
     assert cell_contains(ground, IndexPair.of([], [], 2), pt(9, 9)) == 1
+    for pair in (g, IndexPair(0, 0, 2)):
+        with pytest.raises(DimensionError, match="^point has 3 coordinates, form expects 2$"):
+            cell_contains(ground, pair, pt(1, 2, 3))
 
 
 def test_cell_inconsistent_pair_is_empty(ground):
@@ -71,6 +73,9 @@ def test_cocell_contains_golden(ground):
     assert cocell_contains(ground, g, pt(-1, -1)) == 1
     assert cocell_contains(ground, g, pt(-1, 1)) == 0
     assert cocell_contains(ground, IndexPair.of([], [], 2), pt(0, 0)) == 0
+    for pair in (g, IndexPair(0, 0, 2)):
+        with pytest.raises(DimensionError, match="^point has 3 coordinates, form expects 2$"):
+            cocell_contains(ground, pair, pt(1, 2, 3))
 
 
 def test_cocell_is_complement_of_swapped_cell():
@@ -262,18 +267,18 @@ def test_dnf_cnf_round_trip_membership():
 
 
 def test_halfspace_presentation(ground):
-    s = halfspace_presentation(2, 2)
+    s = randgen.halfspace_presentation(2, 2)
     assert s.pairs[0].sort_key() == ((2,), ())
     assert s.selector.members == (1,)
     k = PresentedPolyhedron(ground, s, Mode.DNF)
-    comp = PresentedPolyhedron(ground, halfspace_presentation(2, 2, True), Mode.DNF)
+    comp = PresentedPolyhedron(ground, randgen.halfspace_presentation(2, 2, True), Mode.DNF)
     rng = random.Random(41)
     for _ in range(20):
         x = randgen.point(rng, 2)
         assert k.member(x) == ground[1].contains(x)
         assert comp.member(x) == 1 - ground[1].contains(x)
     with pytest.raises(PreconditionError):
-        halfspace_presentation(3, 2)
+        randgen.halfspace_presentation(3, 2)
 
 
 def test_operand_checks(ground):

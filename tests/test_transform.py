@@ -19,7 +19,6 @@ from polyperc import (
     Scheme,
     SchemeError,
     SizeCapError,
-    architecture,
     bits_of_index,
     build_cnf_network,
     build_dnf_network,
@@ -58,7 +57,7 @@ def or_scheme():
 
 def test_dnf_synthesis_golden(ground):
     net = build_dnf_network(ground, and_scheme())
-    assert architecture(net) == (2, 2, 1, 1)
+    assert randgen.architecture(net) == (2, 2, 1, 1)
     assert format_halfspace(net.layers[1].units[0]) == "-3/2 1 1 >="
     assert format_halfspace(net.layers[2].units[0]) == "-1/2 1 >="
     assert net.forward((Fraction(1), Fraction(1))) == (1,)
