@@ -68,23 +68,37 @@ def _digit_count(text: str) -> int:
     return count
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer (``7``), a fraction (``-3/2``) or a decimal (``0.25``).
-
-    Any value written with at most :data:`MAX_DIGITS` digits is read
-    exactly through ``Decimal``, past the int-string digit limit.
-    """
-    if (len(text) > MAX_DIGITS or "e" in text or "E" in text) and _digit_count(
-        text
-    ) > MAX_DIGITS:
+def _ratio(text: str) -> tuple[int, int]:
+    """A rational text as ``(numerator, denominator)`` in lowest terms,
+    the denominator positive: the one grammar of :func:`parse_rational`."""
+    if (len(text) > MAX_DIGITS or "e" in text or "E" in text) and _digit_count(text) > MAX_DIGITS:
         raise ParseError(f"rational with more than {MAX_DIGITS} digits")
     match = _RATIONAL.fullmatch(text)
     if match is not None:
-        if match["decimal"] is not None:
-            return Fraction(Decimal(match["decimal"]))
-        if match["den"].strip("0"):
-            return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
+        decimal = match["decimal"]
+        if decimal is not None:
+            if decimal.lstrip("+-").isdigit():
+                return _int(decimal), 1
+            return Decimal(decimal).as_integer_ratio()
+        num, den = _int(match["num"]), _int(match["den"])
+        if den:
+            g = math.gcd(num, den)
+            return num // g, den // g
     raise ParseError(f"bad rational {_shown(text)}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer (``7``), a fraction (``-3/2``) or a decimal (``0.25``),
+    exactly at up to :data:`MAX_DIGITS` digits, past the int-string digit limit."""
+    return Fraction(*_ratio(text))
+
+
+def _int(text: str) -> int:
+    """A signed run of ASCII digits as an int, through ``Decimal`` past the int-string digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
 
 
 def _int_text(n: int) -> str:
@@ -92,22 +106,26 @@ def _int_text(n: int) -> str:
     return str(Decimal(n))
 
 
-def _shown_int(n: int) -> str:
-    """How an error message echoes an integer: in full up to 64 digits,
-    and past that as :func:`_shown` shortens a text."""
-    text = _int_text(n)
+def _shown_int(n: int | str) -> str:
+    """How an error message echoes an integer or a run of digits: in
+    full up to 64 digits, and past that as :func:`_shown` shortens a text."""
+    text = n if isinstance(n, str) else _int_text(n)
     return text if len(text) <= 64 else f"{text[:32]}... ({len(text)} digits)"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``num/den`` (``den > 0``) in lowest terms as ``p/q``, or as ``p`` when q is 1."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past the int-string digit limit
+        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 def format_rational(value: Fraction) -> str:
     """Render as ``p/q``, or a bare integer when the denominator is 1."""
-    try:
-        return str(value)
-    except ValueError:
-        text = _int_text(value.numerator)
-        if value.denominator == 1:
-            return text
-        return f"{text}/{_int_text(value.denominator)}"
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def parse_point(line: str, lineno: int | None = None) -> Point:
@@ -145,11 +163,8 @@ class LinearForm:
         # a Fraction is immutable, so one that is already exact is kept as is
         if type(self.bias) is not Fraction:
             object.__setattr__(self, "bias", Fraction(self.bias))
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights),
-        )
+        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
         if not self.weights:
             raise ValueError("a linear form needs at least one variable")
 
@@ -163,24 +178,16 @@ class LinearForm:
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.dimension:
-            raise DimensionError(
-                f"point has {len(point)} coordinates, form expects {self.dimension}"
-            )
+            raise DimensionError(f"point has {len(point)} coordinates, form expects {self.dimension}")
         total = self.bias
         for w, c in zip(self.weights, point):
             if w:
                 total += w * c
         return total
 
-    def _scale(self) -> int:
-        """The positive lcm of the coefficient denominators."""
-        return math.lcm(self.bias.denominator, *(w.denominator for w in self.weights))
-
     def lowered(self) -> tuple[int, tuple[int, ...]]:
-        """Bias and weights times :meth:`_scale`."""
-        scale = self._scale()
-        bias = self.bias.numerator * (scale // self.bias.denominator)
-        return bias, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        """Bias and weights times the positive lcm of their denominators."""
+        return _cleared([c.as_integer_ratio() for c in (self.bias, *self.weights)])[1:]
 
     def negated(self) -> "LinearForm":
         return LinearForm(-self.bias, tuple(-w for w in self.weights))
@@ -188,6 +195,18 @@ class LinearForm:
 
 # a unit or constraint in integers: (strict, bias, weights) of its lowered form
 Row = tuple[bool, int, tuple[int, ...]]
+
+# a row's kind, indexed by its strict flag
+_KINDS = (InequalityKind.LAX, InequalityKind.STRICT)
+
+
+def _cleared(ratios: Sequence[tuple[int, int]]) -> tuple[int, int, tuple[int, ...]]:
+    """Clear the denominators of a bias and weights, each ``(numerator,
+    denominator)`` over a positive denominator: the positive lcm of the
+    denominators, then the bias and the weights times it."""
+    scale = math.lcm(*[den for _, den in ratios])
+    bias, *weights = [num * (scale // den) for num, den in ratios]
+    return scale, bias, tuple(weights)
 
 
 def _row(form: LinearForm, kind: InequalityKind) -> Row:
@@ -216,6 +235,9 @@ def _lowered_point(x: Point, dimension: int) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in x]
 
 
+_CONSTANT = "half-space form has all-zero weights"
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """A linear form together with a lax or strict inequality.
@@ -229,7 +251,7 @@ class HalfSpace:
 
     def __post_init__(self):
         if self.form.is_constant:
-            raise ConstantFormError("half-space form has all-zero weights")
+            raise ConstantFormError(_CONSTANT)
 
     @property
     def dimension(self) -> int:
@@ -238,41 +260,55 @@ class HalfSpace:
     def contains(self, point: Sequence[Fraction]) -> int:
         """Membership bit: 1 iff the point satisfies the inequality."""
         value = self.form.evaluate(point)
-        if self.kind is InequalityKind.LAX:
-            return 1 if value >= 0 else 0
-        return 1 if value > 0 else 0
+        return int(value > 0 if self.kind is InequalityKind.STRICT else value >= 0)
 
     def complement(self) -> "HalfSpace":
         """Set complement: negate the form and swap lax with strict."""
-        kind = InequalityKind.STRICT if self.kind is InequalityKind.LAX else InequalityKind.LAX
-        return HalfSpace(self.form.negated(), kind)
+        return HalfSpace(self.form.negated(), _KINDS[self.kind is InequalityKind.LAX])
 
 
-_OPERATORS = {kind.value: kind for kind in InequalityKind}
+def _scaled_row(unit: HalfSpace) -> tuple[Row, int]:
+    """A unit's row and its positive scale, which :func:`_unit` turns back into the unit."""
+    form = unit.form
+    scale, bias, weights = _cleared([c.as_integer_ratio() for c in (form.bias, *form.weights)])
+    return (unit.kind is InequalityKind.STRICT, bias, weights), scale
+
+
+def _unit(row: Row, scale: int) -> HalfSpace:
+    """The half-space of a row over its positive scale: each coefficient ``Fraction(c, scale)``."""
+    strict, bias, weights = row
+    return HalfSpace(LinearForm(Fraction(bias, scale), tuple([Fraction(w, scale) for w in weights])), _KINDS[strict])
+
+
+_STRICT = {kind.value: kind is InequalityKind.STRICT for kind in InequalityKind}
+
+
+def _parse_row(line: str, lineno: int | None = None) -> tuple[Row, int]:
+    """A half-space line ``w0 w1 ... wn OP``, OP one of ``>=`` and ``>``,
+    as its row and positive scale."""
+    tokens = line.split()
+    if len(tokens) < 3:
+        raise ParseError("half-space line needs a bias, at least one weight and an operator", lineno)
+    strict = _STRICT.get(tokens[-1])
+    if strict is None:
+        raise ParseError(f"unknown inequality operator {_shown(tokens[-1])}", lineno)
+    try:
+        scale, bias, weights = _cleared([_ratio(token) for token in tokens[:-1]])
+    except ParseError as exc:
+        raise ParseError(exc.message, lineno) from exc
+    if not any(weights):
+        raise ParseError(_CONSTANT, lineno)
+    return (strict, bias, weights), scale
 
 
 def parse_halfspace(line: str, lineno: int | None = None) -> HalfSpace:
     """Parse a half-space line ``w0 w1 ... wn OP`` with OP one of ``>=``, ``>``."""
-    tokens = line.split()
-    if len(tokens) < 3:
-        raise ParseError("half-space line needs a bias, at least one weight and an operator", lineno)
-    kind = _OPERATORS.get(tokens[-1])
-    if kind is None:
-        raise ParseError(f"unknown inequality operator {_shown(tokens[-1])}", lineno)
-    try:
-        coefficients = [parse_rational(token) for token in tokens[:-1]]
-        return HalfSpace(LinearForm(coefficients[0], tuple(coefficients[1:])), kind)
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno) from exc
-    except ConstantFormError as exc:
-        raise ParseError(str(exc), lineno) from exc
+    return _unit(*_parse_row(line, lineno))
 
 
 def format_halfspace(halfspace: HalfSpace) -> str:
-    parts = [format_rational(halfspace.form.bias)]
-    parts.extend(format_rational(w) for w in halfspace.form.weights)
-    parts.append(halfspace.kind.value)
-    return " ".join(parts)
+    form = halfspace.form
+    return " ".join([*map(format_rational, (form.bias, *form.weights)), halfspace.kind.value])
 
 
 def _rows(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, str]]:
@@ -286,10 +322,7 @@ def _count(text: str) -> int | None:
     int; None for any other text."""
     if len(text) > MAX_DIGITS or not (text.isascii() and text.isdigit()):
         return None
-    try:
-        return int(text)
-    except ValueError:  # past the int-string digit limit, read as parse_rational does
-        return int(Decimal(text))
+    return _int(text)
 
 
 def parse_halfspace_block(lines: Iterable[str]) -> tuple[HalfSpace, ...]:

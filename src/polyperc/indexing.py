@@ -341,7 +341,7 @@ def parse_scheme_lines(
         if not match:
             raise ParseError(f"bad scheme line {_shown(line)}", lineno)
         if _count(match.group(1)) != len(texts) + 1:
-            raise ParseError(f"pair lines must be numbered consecutively, got G{match.group(1)}", lineno)
+            raise ParseError(f"pair lines must be numbered consecutively, got G{_shown_int(match.group(1))}", lineno)
         texts.append(match.group(2, 3))
         if past_bound is None and len(texts) * ambient > MAX_SCHEME_BITS:
             past_bound = lineno

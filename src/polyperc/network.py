@@ -3,11 +3,12 @@
 A layer holds one integer row ``(strict, bias, weights)`` per unit, plus
 the unit's positive scale, the lcm of its coefficient denominators: the
 unit is the half-space of the row divided by its scale, so rows and
-scales match units one for one.  ``PerceptronLayer.units`` is a view of
-them as half-spaces.  A layer built from half-spaces keeps them and
-lowers them on first use; synthesis writes rows directly, and
-:func:`format_network` prints a synthesized layer from its rows.  A
-network is a composable sequence of layers.  The first layer evaluates
+scales match units one for one.  ``PerceptronLayer.units`` is a cached
+view of them as half-spaces.  A layer built from half-spaces lowers them
+at once and keeps them only as that cache, synthesis writes rows
+directly, :func:`parse_network` reads each unit line into its row, and
+:func:`format_network` prints every layer from its rows.  A network is
+a composable sequence of layers.  The first layer evaluates
 a rational point over a common denominator; later layers, and the tail
 enumeration kernel (:func:`tail_accepted_set`), sum integer weights
 over set bits.  So no rational arithmetic is done, every bit is the one
@@ -19,27 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError
-from .geometry import (
-    HalfSpace,
-    InequalityKind,
-    LinearForm,
-    Point,
-    Row,
-    _count,
-    _holds,
-    _lowered_point,
-    _row,
-    _rows,
-    _shown_int,
-    format_halfspace,
-    format_rational,
-    parse_halfspace,
-)
+from .geometry import _KINDS, HalfSpace, Point, Row, _count, _holds, _lowered_point, _parse_row, _ratio_text, _rows
+from .geometry import _scaled_row, _shown_int, _unit
 from .indexing import _members
 
 __all__ = [
@@ -60,9 +46,6 @@ BitVector = tuple[int, ...]
 # stays so that callers reporting the build keep working.
 HAVE_COMPILED = False
 
-# a row's kind, indexed by its strict flag
-_KINDS = (InequalityKind.LAX, InequalityKind.STRICT)
-
 
 def bits_of_index(g: int, n_bits: int) -> BitVector:
     """Bit vector encoded by g: bit i-1 of g is vector entry i."""
@@ -76,8 +59,10 @@ class PerceptronLayer:
 
     def __init__(self, units: Iterable[HalfSpace]):
         units = tuple(units)
-        dim = _input_dim({u.form.dimension for u in units})
-        self.__dict__.update(units=units, input_dim=dim, output_dim=len(units))
+        scaled = [_scaled_row(unit) for unit in units]
+        of_rows = self._of_rows(tuple([row for row, _ in scaled]), tuple([scale for _, scale in scaled]))
+        # the given half-spaces are the units view's cache
+        self.__dict__.update(of_rows.__dict__, units=units)
 
     @classmethod
     def _of_rows(cls, rows: tuple[Row, ...], scales: tuple[int, ...]) -> "PerceptronLayer":
@@ -92,20 +77,7 @@ class PerceptronLayer:
 
     @cached_property
     def units(self) -> tuple[HalfSpace, ...]:
-        return tuple(
-            HalfSpace(LinearForm(Fraction(bias, scale), tuple([Fraction(w, scale) for w in weights])), _KINDS[strict])
-            for (strict, bias, weights), scale in zip(self.lowered, self.scales)
-        )
-
-    @cached_property
-    def lowered(self) -> tuple[Row, ...]:
-        """Every unit's row: whether it is strict, then its :meth:`LinearForm.lowered`."""
-        return tuple(_row(unit.form, unit.kind) for unit in self.units)
-
-    @cached_property
-    def scales(self) -> tuple[int, ...]:
-        """Every unit's positive scale: the lcm of its coefficient denominators."""
-        return tuple(unit.form._scale() for unit in self.units)
+        return tuple(map(_unit, self.lowered, self.scales))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -275,17 +247,13 @@ class _Texts(dict):
         self.scale = scale
 
     def __missing__(self, coefficient: int) -> str:
-        text = self[coefficient] = format_rational(Fraction(coefficient, self.scale))
+        text = self[coefficient] = _ratio_text(coefficient, self.scale)
         return text
 
 
 def _unit_lines(layer: PerceptronLayer) -> list[str]:
-    """The ``format_halfspace`` line of each unit: from the half-spaces a
-    layer holds, and otherwise from each row over its scale, formatting
-    each distinct coefficient of the layer once, so that neither route
-    builds what the layer does not hold."""
-    if "units" in vars(layer):
-        return list(map(format_halfspace, layer.units))
+    """The half-space line of each unit, from its row over its scale,
+    formatting each distinct coefficient of the layer once."""
     lines = []
     by_scale: dict[int, _Texts] = {}
     for (strict, bias, weights), scale in zip(layer.lowered, layer.scales):
@@ -328,22 +296,20 @@ def parse_network(text: str) -> PerceptronNetwork:
         if in_dim is None or out_dim is None:
             raise ParseError("expected LAYER <in> <out> line", lineno)
         pos += 1
-        units = []
+        unit_rows, scales = [], []
         for _ in range(out_dim):
             if pos >= len(rows):
                 raise ParseError("missing half-space line", rows[-1][0])
             hs_lineno, hs_line = rows[pos]
-            unit = parse_halfspace(hs_line, hs_lineno)
-            if unit.form.dimension != in_dim:
-                raise ParseError(
-                    f"half-space dimension {unit.form.dimension} does not "
-                    f"match declared layer input {_shown_int(in_dim)}",
-                    hs_lineno,
-                )
-            units.append(unit)
+            row, scale = _parse_row(hs_line, hs_lineno)
+            if len(row[2]) != in_dim:
+                message = f"half-space dimension {len(row[2])} does not match declared layer input"
+                raise ParseError(f"{message} {_shown_int(in_dim)}", hs_lineno)
+            unit_rows.append(row)
+            scales.append(scale)
             pos += 1
         try:
-            layers.append(PerceptronLayer(tuple(units)))
+            layers.append(PerceptronLayer._of_rows(tuple(unit_rows), tuple(scales)))
         except PolypercError as exc:
             raise ParseError(str(exc), lineno) from exc
     if pos != len(rows):

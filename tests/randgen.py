@@ -8,16 +8,20 @@ sizes default to the scales the acceptance criteria use.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 from polyperc import (
+    ConstantFormError,
     HalfSpace,
     IndexPair,
     IndexSet,
     InequalityKind,
     InequalitySystem,
     LinearForm,
+    ParseError,
     PerceptronLayer,
     PerceptronNetwork,
     PreconditionError,
@@ -29,6 +33,7 @@ from polyperc import (
 )
 from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP
 from polyperc.forms import _unit_form
+from polyperc.geometry import _RATIONAL, MAX_DIGITS, _digit_count, _shown
 from polyperc.indexing import check_ground, lex_key
 
 
@@ -275,6 +280,42 @@ def cell_is_empty(halfspaces, pair: IndexPair, cap: int = DEFAULT_CONSTRAINT_CAP
     """Oracle for the realizable-cell search: one elimination of the
     pair's Fraction system."""
     return not is_feasible(system_of_cell(halfspaces, pair), cap)
+
+
+def rational_token(text: str) -> Fraction:
+    """Oracle for the reader's token conversion: the grammar of
+    ``geometry._RATIONAL``, then ``Fraction(Decimal(...))`` of the match."""
+    if (len(text) > MAX_DIGITS or "e" in text or "E" in text) and _digit_count(text) > MAX_DIGITS:
+        raise ParseError(f"rational with more than {MAX_DIGITS} digits")
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        if match["decimal"] is not None:
+            return Fraction(Decimal(match["decimal"]))
+        if match["den"].strip("0"):
+            return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
+    raise ParseError(f"bad rational {_shown(text)}")
+
+
+def halfspace_row(line: str, lineno: int | None = None):
+    """Oracle for ``geometry._parse_row``: every token through
+    :func:`rational_token`, the Fraction half-space of them, then its row
+    (each coefficient times the lcm of the denominators) and that lcm."""
+    tokens = line.split()
+    if len(tokens) < 3:
+        raise ParseError("half-space line needs a bias, at least one weight and an operator", lineno)
+    kinds = {kind.value: kind for kind in InequalityKind}
+    if tokens[-1] not in kinds:
+        raise ParseError(f"unknown inequality operator {_shown(tokens[-1])}", lineno)
+    try:
+        bias, *weights = [rational_token(token) for token in tokens[:-1]]
+        unit = HalfSpace(LinearForm(bias, tuple(weights)), kinds[tokens[-1]])
+    except ParseError as exc:
+        raise ParseError(exc.message, lineno) from exc
+    except ConstantFormError as exc:
+        raise ParseError(str(exc), lineno) from exc
+    scale = math.lcm(*(c.denominator for c in (bias, *weights)))
+    row = (unit.kind is InequalityKind.STRICT, (bias * scale).numerator, tuple((w * scale).numerator for w in weights))
+    return row, scale
 
 
 def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:

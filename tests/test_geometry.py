@@ -20,7 +20,7 @@ from polyperc import (
     parse_point,
     parse_rational,
 )
-from polyperc.geometry import MAX_DIGITS
+from polyperc.geometry import MAX_DIGITS, _parse_row
 
 import randgen
 
@@ -181,6 +181,69 @@ def test_halfspace_round_trip_random():
     for _ in range(200):
         h = randgen.halfspace(rng, rng.randint(1, 4))
         assert parse_halfspace(format_halfspace(h)) == h
+
+
+def digit_run(seed, length):
+    """``length`` ASCII digits drawn from ``seed``, built without ``str(int)``
+    so that a run past the int-string digit limit is made under any limit."""
+    rng = random.Random(seed)
+    return "".join(rng.choice("0123456789") for _ in range(length))
+
+
+def rarely(draw):
+    """True one time in ten."""
+    return draw(strat.integers(0, 9)) == 0
+
+
+@strat.composite
+def coefficient_tokens(draw):
+    """A token as a half-space line may spell a coefficient, or now and then a bad one."""
+    if rarely(draw):
+        return draw(strat.sampled_from(["x", "1_0", "1/-2", "--1", "1e", "١", "1.2.3", "e5", "/3", "1/0", "1e100001"]))
+    sign = draw(strat.sampled_from(["", "+", "-"]))
+    zeros = "0" * draw(strat.integers(0, 3))
+    digits = str(draw(strat.integers(0, 10**6)))
+    if rarely(draw):  # 700 digits, past the lowest int-string digit limit
+        digits = str(draw(strat.integers(1, 9))) + digit_run(draw(strat.integers(0, 99)), 699)
+    den = zeros + str(draw(strat.integers(1, 60)))
+    exponent = draw(strat.sampled_from(["", "e3", "E-2", "e+0", "e-07"]))
+    return draw(
+        strat.sampled_from(
+            [
+                sign + zeros + digits,  # an integer, signed or with leading zeros
+                f"{sign}{zeros}{digits}/{den}",  # p/q, mostly unreduced
+                f"{sign}{digits}.{zeros}{draw(strat.integers(0, 99))}{exponent}",
+                f"{sign}.{digits}{exponent}",
+                f"{sign}{digits}.{exponent}",
+            ]
+        )
+    )
+
+
+@strat.composite
+def halfspace_lines(draw):
+    """A half-space line with stray whitespace: mostly well formed, now and
+    then with too few tokens, all-zero weights or a bad operator."""
+    tokens = draw(strat.lists(coefficient_tokens(), min_size=1 if rarely(draw) else 2, max_size=5))
+    if rarely(draw):
+        tokens[1:] = ["0", "-0/3", "0.0e5", "+00"][: len(tokens) - 1]
+    tokens.append(draw(strat.sampled_from(["=>", ">>", "<=", "="])) if rarely(draw) else draw(strat.sampled_from([">=", ">"])))
+    blanks = strat.text(" \t\u3000", min_size=1, max_size=3)
+    return "".join(draw(blanks) + token for token in tokens) + draw(strat.sampled_from(["", " ", "\t "]))
+
+
+def read_row(reader, line):
+    try:
+        return reader(line, 5)
+    except ParseError as exc:
+        return exc.line, exc.message
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(halfspace_lines())
+def test_row_reader_matches_the_fraction_oracle(line):
+    # the same row and scale, or the same error at the same line
+    assert read_row(_parse_row, line) == read_row(randgen.halfspace_row, line)
 
 
 def test_halfspace_block_skips_blanks():

@@ -205,7 +205,9 @@ def network_poly_point(draw):
 @hypothesis.given(strat.tuples(strat.integers(1, 3), strat.integers(1, 4)).flatmap(lambda shape: units(*shape)))
 def test_rows_and_units_view_agree_at_any_magnitude(drawn):
     built = PerceptronLayer(drawn)
-    assert "lowered" not in vars(built)  # a layer of units lowers on first use
+    # a layer of units holds its rows and scales at once, and views the given units
+    assert {"lowered", "scales"} <= vars(built).keys()
+    assert all(a is b for a, b in zip(built.units, drawn, strict=True))
     from_rows = PerceptronLayer._of_rows(built.lowered, built.scales)
     for layer in (built, from_rows):
         assert layer.units == tuple(drawn)  # every coefficient ==, kinds equal
@@ -213,7 +215,8 @@ def test_rows_and_units_view_agree_at_any_magnitude(drawn):
         assert again == layer == built and hash(again) == hash(layer) == hash(built)
         assert again.lowered == layer.lowered and again.scales == layer.scales
         assert lower_layer(layer) == lower_layer(built)
-    # format_network prints a layer of rows, its units never read, as it prints the half-spaces
+    # format_network prints every layer from its rows, so a layer of rows, its units
+    # never read, prints as the layer built from the half-spaces
     rows_only = PerceptronLayer._of_rows(built.lowered, built.scales)
     assert format_network(PerceptronNetwork((rows_only,))) == format_network(PerceptronNetwork((built,)))
     assert "units" not in vars(rows_only)

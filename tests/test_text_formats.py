@@ -87,6 +87,11 @@ MALFORMED = [
     ("scheme", "\nN=0\nJ=-\n", ParseError, 2, "scheme ambient must be positive"),
     ("scheme", "N=1\n\nG1: ONES=1 ZORES=-\nJ=1\n", ParseError, 3, "bad scheme line 'G1: ONES=1 ZORES=-'"),
     ("scheme", "N=1\nG1: ONES=1 ZEROS=-\n\nG3: ONES=1 ZEROS=-\nJ=1\n", ParseError, 4, "pair lines must be numbered consecutively, got G3"),
+    pytest.param(
+        "scheme", f"N=1\n\nG{'1' * 5001}: ONES=1 ZEROS=-\nJ=1\n", ParseError, 3,
+        f"pair lines must be numbered consecutively, got G{'1' * 32}... (5001 digits)",
+        id="scheme-5001-digit-pair-label",
+    ),
     ("scheme", "N=1\n\nG1: ONES=2 ZEROS=-\nJ=1\n", ParseError, 3, "bad index list '2': member 2 exceeds ambient 1"),
     ("scheme", "N=1\nG1: ONES=1 ZEROS=-\n\nJ=2\n", ParseError, 4, "bad index list '2': member 2 exceeds ambient 1"),
     ("scheme", "N=1\nJ=-\n\nG1: ONES=1 ZEROS=-\n", ParseError, 4, "unexpected content after J= line"),

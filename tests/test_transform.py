@@ -33,7 +33,7 @@ from polyperc import (
     prune_empty_cells,
 )
 from polyperc.forms import _unit_form, _unit_row
-from polyperc.geometry import InequalityKind, _row
+from polyperc.geometry import HalfSpace, InequalityKind, _row, _scaled_row
 
 import randgen
 
@@ -138,8 +138,9 @@ def test_unit_row_matches_the_unit_form_oracle():
                 continue
             for conj in (True, False):
                 form = _unit_form(ones, zeros, n, conj)
-                assert _unit_row(ones, zeros, n, conj) == _row(form, InequalityKind.LAX)
-                assert form._scale() == 2
+                row = _unit_row(ones, zeros, n, conj)
+                assert (row, 2) == _scaled_row(HalfSpace(form, InequalityKind.LAX))
+                assert row == _row(form, InequalityKind.LAX)
 
 
 @strat.composite
