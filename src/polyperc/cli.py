@@ -124,10 +124,7 @@ def _cmd_extract(args) -> tuple[int, str]:
     report = extract_scheme(network, prune=args.prune, cap=args.cap)
     if report.accepted_count == 0 and not args.permissive_constants:
         raise SchemeError("empty scheme: the network is constantly 0")
-    bundle = PresentedPolyhedron(
-        network.layers[0].units, report.scheme, Mode.DNF
-    )
-    return 0, format_bundle(bundle)
+    return 0, format_bundle(PresentedPolyhedron(network.layers[0], report.scheme, Mode.DNF))
 
 
 def _cmd_normalize(args) -> tuple[int, str]:

@@ -1,13 +1,13 @@
 """Exact emptiness decision for systems of strict and lax linear inequalities.
 
 Variable elimination on the integer rows a layer also holds per unit
-(:func:`geometry._row`): each constraint is its form times the positive
-lcm of its denominators, which keeps its sign.  Each round removes the
-highest remaining coordinate by combining every lower bound with every
-upper bound.  A combined constraint is strict when either parent is,
-which is what keeps open and closed half-spaces apart without any
-perturbation.  Witness points come from back-substitution through the
-recorded bounds, the only step that divides.
+(:func:`geometry._scaled_row`): each constraint is its form times the
+positive lcm of its denominators, which keeps its sign.  Each round
+removes the highest remaining coordinate by combining every lower bound
+with every upper bound.  A combined constraint is strict when either
+parent is, which is what keeps open and closed half-spaces apart without
+any perturbation.  Witness points come from back-substitution through
+the recorded bounds, the only step that divides.
 
 Every cell's rows come from one builder, :func:`_cell_rows`: its ones
 rows as they are, then the complements of its zeros rows.
@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
-from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _complement, _holds, _row
+from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _complement, _holds, _scaled_row
 from .indexing import IndexPair, _members
 
 __all__ = [
@@ -77,7 +77,7 @@ def _pair_rows(halfspaces: Sequence[HalfSpace], pair: IndexPair) -> tuple[list[R
         raise PreconditionError(f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}")
     if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
         raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
-    rows = _cell_rows([_row(h.form, h.kind) for h in halfspaces], pair.ones_mask, pair.zeros_mask)
+    rows = _cell_rows([_scaled_row(h.form, h.kind)[0] for h in halfspaces], pair.ones_mask, pair.zeros_mask)
     dims = {len(coeffs) for _, _, coeffs in rows} or {h.dimension for h in halfspaces[:1]}
     if len(dims) > 1:
         raise DimensionError("mixed constraint dimensions")
@@ -164,7 +164,7 @@ def _eliminate(
 
 
 def _rows(constraints: Iterable[Constraint]) -> list[Row]:
-    return [_row(form, kind) for form, kind in constraints]
+    return [_scaled_row(form, kind)[0] for form, kind in constraints]
 
 
 def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> bool:

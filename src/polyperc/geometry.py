@@ -209,8 +209,10 @@ def _cleared(ratios: Sequence[tuple[int, int]]) -> tuple[int, int, tuple[int, ..
     return scale, bias, tuple(weights)
 
 
-def _row(form: LinearForm, kind: InequalityKind) -> Row:
-    return (kind is InequalityKind.STRICT, *form.lowered())
+def _scaled_row(form: LinearForm, kind: InequalityKind) -> tuple[Row, int]:
+    """The row of a form and kind, and its positive scale: the one lowering of a Fraction form."""
+    scale, bias, weights = _cleared([c.as_integer_ratio() for c in (form.bias, *form.weights)])
+    return (kind is InequalityKind.STRICT, bias, weights), scale
 
 
 def _complement(row: Row) -> Row:
@@ -267,13 +269,6 @@ class HalfSpace:
         return HalfSpace(self.form.negated(), _KINDS[self.kind is InequalityKind.LAX])
 
 
-def _scaled_row(unit: HalfSpace) -> tuple[Row, int]:
-    """A unit's row and its positive scale, which :func:`_unit` turns back into the unit."""
-    form = unit.form
-    scale, bias, weights = _cleared([c.as_integer_ratio() for c in (form.bias, *form.weights)])
-    return (unit.kind is InequalityKind.STRICT, bias, weights), scale
-
-
 def _unit(row: Row, scale: int) -> HalfSpace:
     """The half-space of a row over its positive scale: each coefficient ``Fraction(c, scale)``."""
     strict, bias, weights = row
@@ -306,9 +301,34 @@ def parse_halfspace(line: str, lineno: int | None = None) -> HalfSpace:
     return _unit(*_parse_row(line, lineno))
 
 
+class _Texts(dict):
+    """The text of each coefficient over one scale, formatted on first use."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, coefficient: int) -> str:
+        text = self[coefficient] = _ratio_text(coefficient, self.scale)
+        return text
+
+
+def _unit_lines(scaled: Iterable[tuple[Row, int]]) -> list[str]:
+    """The half-space line of each row over its positive scale, formatting
+    each distinct coefficient over each scale once: the one printer of
+    half-space lines."""
+    lines = []
+    by_scale: dict[int, _Texts] = {}
+    for (strict, bias, weights), scale in scaled:
+        texts = by_scale.get(scale)
+        if texts is None:
+            texts = by_scale[scale] = _Texts(scale)
+        lines.append(f"{texts[bias]} {' '.join(map(texts.__getitem__, weights))} {_KINDS[strict].value}")
+    return lines
+
+
 def format_halfspace(halfspace: HalfSpace) -> str:
-    form = halfspace.form
-    return " ".join([*map(format_rational, (form.bias, *form.weights)), halfspace.kind.value])
+    return _unit_lines([_scaled_row(halfspace.form, halfspace.kind)])[0]
 
 
 def _rows(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, str]]:

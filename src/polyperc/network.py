@@ -5,15 +5,15 @@ the unit's positive scale, the lcm of its coefficient denominators: the
 unit is the half-space of the row divided by its scale, so rows and
 scales match units one for one.  ``PerceptronLayer.units`` is a cached
 view of them as half-spaces.  A layer built from half-spaces lowers them
-at once and keeps them only as that cache, synthesis writes rows
-directly, :func:`parse_network` reads each unit line into its row, and
-:func:`format_network` prints every layer from its rows.  A network is
-a composable sequence of layers.  The first layer evaluates
-a rational point over a common denominator; later layers, and the tail
-enumeration kernel (:func:`tail_accepted_set`), sum integer weights
-over set bits.  So no rational arithmetic is done, every bit is the one
-:meth:`HalfSpace.contains` gives, and Python ints keep it exact at any
-magnitude.
+at once and keeps them only as that cache; synthesis and the network and
+bundle readers write rows, and :func:`format_network` prints rows
+through ``geometry._unit_lines``, the one half-space line printer.  A
+network is a composable sequence of layers; a presented polyhedron holds
+its half-spaces as one.  The first layer evaluates a rational point over
+a common denominator; later layers, and the tail kernel
+(:func:`tail_accepted_set`), sum integer weights over set bits.  So
+every bit is the one :meth:`HalfSpace.contains` gives, without rational
+arithmetic, and Python ints keep it exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, ParseError, PolypercError, PreconditionError
-from .geometry import _KINDS, HalfSpace, Point, Row, _count, _holds, _lowered_point, _parse_row, _ratio_text, _rows
-from .geometry import _scaled_row, _shown_int, _unit
+from .errors import DimensionError, ParseError, PolypercError, PreconditionError, SizeCapError
+from .geometry import HalfSpace, Point, Row, _count, _holds, _lowered_point, _parse_row, _rows, _scaled_row
+from .geometry import _shown_int, _unit, _unit_lines
 from .indexing import _members
 
 __all__ = [
@@ -59,7 +59,7 @@ class PerceptronLayer:
 
     def __init__(self, units: Iterable[HalfSpace]):
         units = tuple(units)
-        scaled = [_scaled_row(unit) for unit in units]
+        scaled = [_scaled_row(unit.form, unit.kind) for unit in units]
         of_rows = self._of_rows(tuple([row for row, _ in scaled]), tuple([scale for _, scale in scaled]))
         # the given half-spaces are the units view's cache
         self.__dict__.update(of_rows.__dict__, units=units)
@@ -174,7 +174,10 @@ def tail_accepted_set(
         raise PreconditionError("tail must be single-output")
     low = (n_bits + 1) // 2
     width = 1 << low
-    codes = [0] * (1 << n_bits)
+    try:
+        codes = [0] * (1 << n_bits)
+    except (OverflowError, MemoryError):
+        raise SizeCapError(f"a table of 2^{n_bits} first-layer bit vectors cannot be built") from None
     for u, (strict, bias, row) in enumerate(tail_layers[0].lowered):
         # a lax unit starts 1 higher, which turns ">= 0" into "> 0" on integers
         vals = _doubled_sums(bias + (not strict), row[:low])
@@ -239,36 +242,11 @@ class PerceptronNetwork:
 _LAYER_LINE = re.compile(r"^LAYER ([0-9]+) ([0-9]+)$")
 
 
-class _Texts(dict):
-    """The text of each coefficient over one scale, formatted on first use."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, coefficient: int) -> str:
-        text = self[coefficient] = _ratio_text(coefficient, self.scale)
-        return text
-
-
-def _unit_lines(layer: PerceptronLayer) -> list[str]:
-    """The half-space line of each unit, from its row over its scale,
-    formatting each distinct coefficient of the layer once."""
-    lines = []
-    by_scale: dict[int, _Texts] = {}
-    for (strict, bias, weights), scale in zip(layer.lowered, layer.scales):
-        texts = by_scale.get(scale)
-        if texts is None:
-            texts = by_scale[scale] = _Texts(scale)
-        lines.append(f"{texts[bias]} {' '.join(map(texts.__getitem__, weights))} {_KINDS[strict].value}")
-    return lines
-
-
 def format_network(network: PerceptronNetwork) -> str:
     lines = [f"LAYERS={network.depth}"]
     for layer in network.layers:
         lines.append(f"LAYER {layer.input_dim} {layer.output_dim}")
-        lines += _unit_lines(layer)
+        lines += _unit_lines(zip(layer.lowered, layer.scales))
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Scheme-presented polyhedra: membership and a Boolean algebra on presentations.
 
-A presentation is a half-space tuple plus a scheme plus a mode.  In DNF
-mode the point set is the union over selected pairs of their cells; in
-CNF mode it is the intersection of their cocells.  All operations here
-are exact and purely syntactic on presentations; equality of the point
-sets they denote is only ever checked pointwise.
+A presentation is a first layer of half-spaces plus a scheme plus a
+mode.  In DNF mode the point set is the union over selected pairs of
+their cells; in CNF mode it is the intersection of their cocells.  A
+bundle is read into the layer's integer rows and printed from them, and
+each operation hands its operand's layer to its result.  Every operation
+is exact and syntactic; point sets are only ever compared pointwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .errors import DimensionError, ParseError, PreconditionError, SchemeError
 from .feasibility import _pair_rows
-from .geometry import HalfSpace, Point, _holds, _lowered_point, _rows, _shown, format_halfspace, parse_halfspace
+from .geometry import HalfSpace, Point, _holds, _lowered_point, _parse_row, _rows, _shown, _unit_lines
 from .indexing import IndexPair, Scheme, _members, _sorted_pairs, check_ground, format_scheme
 from .indexing import parse_scheme_lines
 from .network import PerceptronLayer
@@ -35,6 +36,8 @@ __all__ = [
     "parse_bundle",
     "format_bundle",
 ]
+
+_MIXED = "half-spaces of mixed dimension"
 
 
 class Mode(enum.Enum):
@@ -60,35 +63,37 @@ def cocell_contains(halfspaces: Sequence[HalfSpace], pair: IndexPair, x: Point) 
 
 @dataclass(frozen=True)
 class PresentedPolyhedron:
-    halfspaces: tuple[HalfSpace, ...]
+    """Half-spaces (a tuple, lowered once, or a layer), a scheme and a mode."""
+
+    layer: PerceptronLayer
     scheme: Scheme
     mode: Mode
 
     def __post_init__(self) -> None:
-        if not self.halfspaces:
-            raise PreconditionError("a presentation needs at least one half-space")
-        dims = {h.form.dimension for h in self.halfspaces}
-        if len(dims) != 1:
-            raise DimensionError("half-spaces of mixed dimension")
-        check_ground(self.scheme.ambient, len(self.halfspaces))
+        if not isinstance(self.layer, PerceptronLayer):
+            halfspaces = tuple(self.layer)
+            if not halfspaces:
+                raise PreconditionError("a presentation needs at least one half-space")
+            if len({h.dimension for h in halfspaces}) != 1:
+                raise DimensionError(_MIXED)
+            object.__setattr__(self, "layer", PerceptronLayer(halfspaces))
+        check_ground(self.scheme.ambient, self.layer.output_dim)
         if any(map(and_, self.scheme.ones_masks, self.scheme.zeros_masks)):
             for j, (ones, zeros) in zip(self.scheme.selector, self._selected_masks):
                 if ones & zeros:
                     raise SchemeError(f"selected pair G{j} is inconsistent")
 
     @property
-    def dimension(self) -> int:
-        return self.halfspaces[0].form.dimension
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return self.layer.units
 
-    @cached_property
-    def _layer(self) -> PerceptronLayer:
-        """The half-spaces as one layer, so points go through its integer
-        lowering."""
-        return PerceptronLayer(self.halfspaces)
+    @property
+    def dimension(self) -> int:
+        return self.layer.input_dim
 
     def signature(self, x: Point) -> tuple[int, ...]:
         """One containment bit per half-space."""
-        return self._layer.apply(x)
+        return self.layer.apply(x)
 
     @cached_property
     def _selected_masks(self) -> tuple[tuple[int, int], ...]:
@@ -96,7 +101,7 @@ class PresentedPolyhedron:
         return tuple([masks[j - 1] for j in self.scheme.selector])
 
     def member(self, x: Point) -> int:
-        mask = self._layer.point_mask(x)
+        mask = self.layer.point_mask(x)
         if self.mode is Mode.DNF:
             for m1, m0 in self._selected_masks:
                 if mask & m1 == m1 and not mask & m0:
@@ -110,7 +115,7 @@ class PresentedPolyhedron:
 
 
 def _same_ground(a: PresentedPolyhedron, b: PresentedPolyhedron) -> None:
-    if a.halfspaces != b.halfspaces:
+    if a.layer != b.layer:
         raise PreconditionError("operands use different half-space tuples")
 
 
@@ -119,17 +124,15 @@ def _require_dnf(k: PresentedPolyhedron, op: str) -> None:
         raise PreconditionError(f"{op} expects a DNF presentation")
 
 
-def _dnf_of_pairs(
-    halfspaces: tuple[HalfSpace, ...], keys: set[int], mode: Mode = Mode.DNF
-) -> PresentedPolyhedron:
-    """Presentation with the given pair keys all selected, normalized."""
-    return PresentedPolyhedron(halfspaces, _sorted_pairs(len(halfspaces), keys), mode)
+def _dnf_of_pairs(layer: PerceptronLayer, keys: set[int], mode: Mode = Mode.DNF) -> PresentedPolyhedron:
+    """Presentation over the layer with the given pair keys all selected, normalized."""
+    return PresentedPolyhedron(layer, _sorted_pairs(layer.output_dim, keys), mode)
 
 
 def _keys(k: PresentedPolyhedron) -> set[int]:
     """The selected pairs as keys ``ones | zeros << n``, n the half-space
     count: the ones bits are 0..n-1 and the zeros bits n..2n-1."""
-    n = len(k.halfspaces)
+    n = k.layer.output_dim
     return {ones | zeros << n for ones, zeros in k._selected_masks}
 
 
@@ -138,7 +141,7 @@ def union(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron
     _require_dnf(a, "union")
     _require_dnf(b, "union")
     _same_ground(a, b)
-    return _dnf_of_pairs(a.halfspaces, _keys(a) | _keys(b))
+    return _dnf_of_pairs(a.layer, _keys(a) | _keys(b))
 
 
 def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -147,11 +150,11 @@ def intersection(a: PresentedPolyhedron, b: PresentedPolyhedron) -> PresentedPol
     _require_dnf(a, "intersection")
     _require_dnf(b, "intersection")
     _same_ground(a, b)
-    n = len(a.halfspaces)
+    n = a.layer.output_dim
     other = _keys(b)
     # a merged key is consistent when its ones bits miss its zeros bits
     merged = {key for left in _keys(a) for right in other if not (key := left | right) & key >> n}
-    return _dnf_of_pairs(a.halfspaces, merged)
+    return _dnf_of_pairs(a.layer, merged)
 
 
 def _distribute(clauses: Sequence[tuple[int, int]], n: int) -> set[int]:
@@ -182,13 +185,13 @@ def cnf_to_dnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite an intersection of cocells as a union of cells, pointwise equal."""
     if k.mode is not Mode.CNF:
         raise PreconditionError("cnf_to_dnf expects a CNF presentation")
-    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks, len(k.halfspaces)), Mode.DNF)
+    return _dnf_of_pairs(k.layer, _distribute(k._selected_masks, k.layer.output_dim), Mode.DNF)
 
 
 def dnf_to_cnf(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """Rewrite a union of cells as an intersection of cocells, pointwise equal."""
     _require_dnf(k, "dnf_to_cnf")
-    return _dnf_of_pairs(k.halfspaces, _distribute(k._selected_masks, len(k.halfspaces)), Mode.CNF)
+    return _dnf_of_pairs(k.layer, _distribute(k._selected_masks, k.layer.output_dim), Mode.CNF)
 
 
 def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
@@ -200,28 +203,30 @@ def complement_poly(k: PresentedPolyhedron) -> PresentedPolyhedron:
     """
     _require_dnf(k, "complement")
     swapped = [(zeros, ones) for ones, zeros in k._selected_masks]
-    return _dnf_of_pairs(k.halfspaces, _distribute(swapped, len(k.halfspaces)))
+    return _dnf_of_pairs(k.layer, _distribute(swapped, k.layer.output_dim))
 
 
 def format_bundle(k: PresentedPolyhedron) -> str:
-    lines = [format_halfspace(h) for h in k.halfspaces]
+    lines = _unit_lines(zip(k.layer.lowered, k.layer.scales))
     lines.append(f"MODE={k.mode.value}")
     return "\n".join(lines) + "\n" + format_scheme(k.scheme)
 
 
 def parse_bundle(text: str) -> PresentedPolyhedron:
     lines = text.splitlines()
-    halfspaces = []
+    scaled = []
     for lineno, line in _rows(lines):
         if line.startswith("MODE="):
             break
-        halfspaces.append(parse_halfspace(line, lineno))
+        scaled.append(_parse_row(line, lineno))
     else:
         raise ParseError("missing MODE=DNF|CNF line", len(lines) or 1)
     value = line[len("MODE=") :]
     if value not in ("DNF", "CNF"):
         raise ParseError(f"unknown mode {_shown(value)}", lineno)
-    if not halfspaces:
+    if not scaled:
         raise ParseError("bundle has no half-space lines", lineno)
-    scheme = parse_scheme_lines(lines[lineno:], lineno + 1, lambda n: check_ground(n, len(halfspaces)))
-    return PresentedPolyhedron(tuple(halfspaces), scheme, Mode(value))
+    scheme = parse_scheme_lines(lines[lineno:], lineno + 1, lambda n: check_ground(n, len(scaled)))
+    if len({len(row[2]) for row, _ in scaled}) != 1:
+        raise DimensionError(_MIXED)
+    return PresentedPolyhedron(PerceptronLayer._of_rows(*zip(*scaled)), scheme, Mode(value))

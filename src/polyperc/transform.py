@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
 from .feasibility import DEFAULT_CONSTRAINT_CAP, _cell_rows, _point, _realizable
 from .forms import _unit_row
-from .geometry import HalfSpace, Point, Row, _row, _shown_int
+from .geometry import HalfSpace, Point, Row, _scaled_row, _shown_int
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
 from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
 
@@ -191,7 +191,7 @@ def _check_prune_ground(ambient: int, count: int) -> None:
 def prune_empty_cells(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> Scheme:
     """Drop selected pairs whose cells are empty; keep mute pairs as-is."""
     _check_prune_ground(scheme.ambient, len(halfspaces))
-    return _pruned([_row(h.form, h.kind) for h in halfspaces], scheme)
+    return _pruned([_scaled_row(h.form, h.kind)[0] for h in halfspaces], scheme)
 
 
 def _pruned(rows: Sequence[Row], scheme: Scheme) -> Scheme:

@@ -29,6 +29,7 @@ from polyperc import (
     SchemeError,
     conj_form,
     disj_form,
+    format_rational,
     is_feasible,
 )
 from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP
@@ -316,6 +317,13 @@ def halfspace_row(line: str, lineno: int | None = None):
     scale = math.lcm(*(c.denominator for c in (bias, *weights)))
     row = (unit.kind is InequalityKind.STRICT, (bias * scale).numerator, tuple((w * scale).numerator for w in weights))
     return row, scale
+
+
+def halfspace_text(halfspace: HalfSpace) -> str:
+    """Oracle for ``geometry.format_halfspace``: ``format_rational`` of
+    each Fraction coefficient, then the operator."""
+    form = halfspace.form
+    return " ".join([*map(format_rational, (form.bias, *form.weights)), halfspace.kind.value])
 
 
 def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Scheme:

@@ -164,6 +164,21 @@ def test_extract_past_the_scheme_reader_bound_exit_5(files, capsys, tmp_path, mo
     assert not target.exists()
 
 
+# 70 first-layer units: --cap 100 admits them, but a list of 2^70 entries
+# cannot even be sized, so this fails before anything is allocated
+WIDE_NET = (
+    "LAYERS=2\nLAYER 1 70\n" + "".join(f"{i} 1 >=\n" for i in range(70)) + "LAYER 70 1\n-1/2" + " 1" * 70 + " >=\n"
+)
+
+
+def test_bit_vector_table_that_cannot_be_built_exit_5(files, capsys):
+    net = files("n", WIDE_NET)
+    for argv in (["extract", net], ["normalize", net], ["equiv", net, net]):
+        code, out, err = run(capsys, *argv, "--cap", "100")
+        assert (code, out) == (5, ""), argv
+        assert err == "error: a table of 2^70 first-layer bit vectors cannot be built\n"
+
+
 def test_extract_constant_strict_exit_4(files, capsys):
     code, _, err = run(capsys, "extract", files("n", CONST_NET))
     assert code == 4

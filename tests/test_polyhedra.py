@@ -31,6 +31,10 @@ from polyperc import (
     union,
 )
 
+from polyperc import geometry
+from polyperc.cli import console_main
+from polyperc.geometry import HalfSpace
+
 import randgen
 
 
@@ -428,6 +432,11 @@ def test_presentation_needs_halfspaces_of_one_dimension():
         PresentedPolyhedron(mixed, Scheme(2, (), IndexSet.of([], 0)), Mode.DNF)
     scheme = Scheme(1, (IndexPair.of([1], [], 1),), IndexSet.of([1], 1))
     assert PresentedPolyhedron(mixed[:1], scheme, Mode.CNF).dimension == 1
+    # a bundle reports its mixed dimension after its scheme's errors and before a bad selection
+    with pytest.raises(DimensionError, match="^half-spaces of mixed dimension$"):
+        parse_bundle("0 1 >=\n0 1 1 >=\nMODE=DNF\nN=2\nG1: ONES=1 ZEROS=1\nJ=1\n")
+    with pytest.raises(SchemeError, match="^scheme over 3 pairs with 2 half-spaces$"):
+        parse_bundle("0 1 >=\n0 1 1 >=\nMODE=DNF\nN=3\nJ=-\n")
 
 
 def test_bundle_huge_ambient_refused_before_any_mask():
@@ -447,3 +456,44 @@ def test_bundle_scheme_halfspace_mismatch_is_scheme_error(ground):
     text = "0 1 0 >=\nMODE=DNF\nN=2\nG1: ONES=1 ZEROS=-\nJ=1\n"
     with pytest.raises(SchemeError):
         parse_bundle(text)
+
+
+def test_bundle_path_builds_no_halfspace(monkeypatch, tmp_path, capsys):
+    """A bundle is read, queried, printed and operated on through its
+    layer's rows, and every algebra result holds its operand's layer."""
+
+    def refuse(*args):
+        raise AssertionError("a HalfSpace was built")
+
+    monkeypatch.setattr(geometry, "_unit", refuse)
+    # any other route to a half-space, the units view of a layer included
+    monkeypatch.setattr(HalfSpace, "__post_init__", refuse)
+    head = "0 1 0 >=\n0 0 1 >\n1/2 1 -1/3 >=\n"
+    texts = {
+        "a": head + "MODE=DNF\nN=3\nG1: ONES=1,2 ZEROS=3\nG2: ONES=3 ZEROS=1\nJ=1,2\n",
+        "b": head + "MODE=DNF\nN=3\nG1: ONES=1 ZEROS=-\nJ=1\n",
+        "c": head + "MODE=CNF\nN=3\nG1: ONES=1 ZEROS=2\nJ=1\n",
+        "points": "0 3\n1 1\n",
+        "net": "LAYERS=2\nLAYER 2 2\n0 1 0 >=\n0 0 1 >\nLAYER 2 1\n-3/2 1 1 >=\n",
+    }
+    paths = {name: tmp_path / name for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8")
+    bundles = {name: parse_bundle(texts[name]) for name in "abc"}
+    a = bundles["a"]
+    assert [a.member(x) for x in (pt(0, 3), pt(Fraction(-1, 4), 0), pt(1, 1))] == [1, 1, 0]
+    assert a.dimension == 2 and a.signature(pt(1, 1)) == (1, 1, 1)
+    assert format_bundle(a) == texts["a"]
+    cases = [
+        (["member", "a", "points"], "1\n0\n"),
+        (["extract", "net"], "0 1 0 >=\n0 0 1 >\nMODE=DNF\nN=2\nG1: ONES=1,2 ZEROS=-\nJ=1\n"),
+    ]
+    for op, name, operands in [(union, "union", "ab"), (intersection, "intersect", "ab"),
+                               (complement_poly, "complement", "a"), (dnf_to_cnf, "to-cnf", "a"),
+                               (cnf_to_dnf, "to-dnf", "c")]:
+        result = op(*[bundles[k] for k in operands])
+        assert result.layer is bundles[operands[0]].layer
+        cases.append((["algebra", name, *operands], format_bundle(result)))
+    for argv, out in cases:
+        assert console_main([str(paths.get(arg, arg)) for arg in argv]) == 0, argv
+        assert capsys.readouterr() == (out, ""), argv

@@ -22,6 +22,7 @@ import pytest
 from polyperc import (
     Mode,
     ParseError,
+    PerceptronLayer,
     PolypercError,
     PresentedPolyhedron,
     format_bundle,
@@ -39,6 +40,7 @@ from polyperc.cli import console_main
 
 import randgen
 from test_indexing import schemes
+from test_network import units
 from test_polyhedra import bundles
 
 # seeded like the bundles strategy, so each example reproduces
@@ -239,12 +241,21 @@ def test_padded_network_parses_to_the_same_value(rng):
     assert parse_network(randgen.padded(rng, text)) == parse_network(text) == network
 
 
-@hypothesis.given(rngs)
-def test_padded_halfspace_block_parses_to_the_same_value(rng):
-    halfspaces = randgen.halfspaces(rng, rng.randint(1, 6), rng.randint(1, 3))
-    text = "".join(format_halfspace(h) + "\n" for h in halfspaces)
-    padded = randgen.padded(rng, text).splitlines()
-    assert parse_halfspace_block(padded) == parse_halfspace_block(text.splitlines()) == halfspaces
+@hypothesis.settings(deadline=None)
+@hypothesis.given(rngs, strat.tuples(strat.integers(1, 3), strat.integers(1, 6)).flatmap(lambda shape: units(*shape)))
+def test_padded_halfspace_block_parses_to_the_same_value(rng, drawn):
+    """Also at any magnitude: each half-space line, alone and in a bundle,
+    is the one the Fraction printer wrote, and a bundle's layer is its
+    block's."""
+    for halfspaces in (randgen.halfspaces(rng, rng.randint(1, 6), rng.randint(1, 3)), tuple(drawn)):
+        text = "".join(format_halfspace(h) + "\n" for h in halfspaces)
+        assert text.splitlines() == [randgen.halfspace_text(h) for h in halfspaces]
+        padded = randgen.padded(rng, text).splitlines()
+        assert parse_halfspace_block(padded) == parse_halfspace_block(text.splitlines()) == halfspaces
+        scheme = randgen.scheme(rng, len(halfspaces))
+        bundle = format_bundle(PresentedPolyhedron(halfspaces, scheme, rng.choice(list(Mode))))
+        assert bundle.splitlines()[: len(halfspaces)] == text.splitlines()
+        assert parse_bundle(bundle).layer == PerceptronLayer(parse_halfspace_block(text.splitlines()))
 
 
 def eval_stdout(network_path, points_path) -> tuple[int, str]:
