@@ -19,14 +19,10 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError, SchemeError
-from .feasibility import (
-    DEFAULT_CONSTRAINT_CAP,
-    InequalitySystem,
-    witness,
-)
-from .geometry import _count, _rows, format_point, parse_halfspace_block, parse_point
+from .feasibility import DEFAULT_CONSTRAINT_CAP, _point
+from .geometry import Row, _count, _parse_row, _rows, format_point, parse_point
 from .indexing import check_ground, format_scheme, parse_scheme_lines
-from .network import format_network, parse_network
+from .network import PerceptronLayer, format_network, parse_network
 from .polyhedra import (
     Mode,
     PresentedPolyhedron,
@@ -42,12 +38,12 @@ from .transform import (
     DEFAULT_ENUM_CAP,
     ConstantNetwork,
     _check_prune_ground,
+    _pruned,
     build_cnf_network,
     build_dnf_network,
     check_equivalence,
     extract_scheme,
     normalize_three_layers,
-    prune_empty_cells,
 )
 
 
@@ -59,6 +55,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _read_rows(path: str) -> tuple[tuple[Row, ...], tuple[int, ...]]:
+    """The row and the scale of each half-space line of a file."""
+    scaled = [_parse_row(line, lineno) for lineno, line in _rows(_read(path).splitlines())]
+    return tuple([row for row, _ in scaled]), tuple([scale for _, scale in scaled])
 
 
 def _read_points(path: str, dimension: int):
@@ -110,13 +112,13 @@ def _cmd_member(args) -> tuple[int, str]:
 
 
 def _cmd_synth(args) -> tuple[int, str]:
-    halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
+    rows, scales = _read_rows(args.halfspaces)
     # N= is checked before any mask is built, so a huge N= costs nothing
     scheme = parse_scheme_lines(
-        _read(args.scheme).splitlines(), 1, lambda n: check_ground(n, len(halfspaces))
+        _read(args.scheme).splitlines(), 1, lambda n: check_ground(n, len(rows))
     )
     build = build_dnf_network if args.mode == "dnf" else build_cnf_network
-    return 0, format_network(build(halfspaces, scheme))
+    return 0, format_network(build(PerceptronLayer._of_rows(rows, scales), scheme))
 
 
 def _cmd_extract(args) -> tuple[int, str]:
@@ -178,17 +180,20 @@ def _cmd_equiv(args) -> tuple[int, str]:
 
 
 def _cmd_prune(args) -> tuple[int, str]:
-    halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
+    rows, _ = _read_rows(args.halfspaces)
     scheme = parse_scheme_lines(
-        _read(args.scheme).splitlines(), 1, lambda n: _check_prune_ground(n, len(halfspaces))
+        _read(args.scheme).splitlines(), 1, lambda n: _check_prune_ground(n, len(rows))
     )
-    return 0, format_scheme(prune_empty_cells(halfspaces, scheme))
+    return 0, format_scheme(_pruned(rows, scheme))
 
 
 def _cmd_feasible(args) -> tuple[int, str]:
-    halfspaces = parse_halfspace_block(_read(args.halfspaces).splitlines())
-    system = InequalitySystem(tuple((h.form, h.kind) for h in halfspaces))
-    point = witness(system, args.cap)
+    rows, _ = _read_rows(args.halfspaces)
+    dims = {len(coeffs) for _, _, coeffs in rows}
+    if len(dims) > 1:
+        raise DimensionError("mixed constraint dimensions")
+    # no half-space at all is the system of the empty point
+    point = _point(list(rows), dims.pop() if dims else 0, args.cap)
     if point is None:
         return 1, "INFEASIBLE\n"
     return 0, f"FEASIBLE\nWITNESS={format_point(point)}\n"

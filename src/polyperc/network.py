@@ -13,14 +13,20 @@ its half-spaces as one.  The first layer evaluates a rational point over
 a common denominator; later layers, and the tail kernel
 (:func:`tail_accepted_set`), sum integer weights over set bits.  So
 every bit is the one :meth:`HalfSpace.contains` gives, without rational
-arithmetic, and Python ints keep it exact at any magnitude.
+arithmetic, and Python ints keep it exact at any magnitude.  The tail
+kernel runs the first tail layer on every bit vector eight units at a
+time, each unit's firing set packed into ints of byte fields, and hands
+only the distinct firing codes to the later layers.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress, count, repeat
+from operator import lshift, neg, or_
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError, PolypercError, PreconditionError, SizeCapError
@@ -158,11 +164,17 @@ def tail_accepted_set(
     Bit i-1 of an index is input bit i, so index 5 over 3 bits is the
     vector (1, 0, 1).
 
-    The first tail layer is evaluated on every index at once, one unit
-    at a time: the index splits into its low and high bits, the unit's
-    partial sums over each half are built by doubling, and the unit
-    fires where the two halves add up past zero.  The later layers then
-    only see the distinct firing codes of the first.
+    The first tail layer is evaluated on every index at once, eight units
+    at a time.  The index splits into its low and high bits, and each
+    unit's partial sums over the two halves are built by doubling.  For
+    each block of indices sharing their high bits, the eight units'
+    firing sets are packed into one int of byte fields (see
+    :func:`_byte_fields`), and each touched block is merged into the
+    codes once per eight units: the first eight units' bytes are copied
+    in, and each later group's bytes are OR'd in shifted by the group's
+    first unit.  The later layers then only see the distinct firing
+    codes of the first.  No table is larger than the list of 2^n_bits
+    codes.
     """
     if not tail_layers:
         raise PreconditionError("empty tail")
@@ -178,20 +190,24 @@ def tail_accepted_set(
         codes = [0] * (1 << n_bits)
     except (OverflowError, MemoryError):
         raise SizeCapError(f"a table of 2^{n_bits} first-layer bit vectors cannot be built") from None
-    for u, (strict, bias, row) in enumerate(tail_layers[0].lowered):
-        # a lax unit starts 1 higher, which turns ">= 0" into "> 0" on integers
-        vals = _doubled_sums(bias + (not strict), row[:low])
-        top = max(vals)
-        bit = 1 << u
-        for h, off in enumerate(_doubled_sums(0, row[low:])):
-            cut = -off
-            if top <= cut:
-                continue
-            start = h << low
-            stop = start + width
-            codes[start:stop] = [
-                c | bit if v > cut else c for c, v in zip(codes[start:stop], vals)
-            ]
+    rows = tail_layers[0].lowered
+    for first in range(0, len(rows), 8):
+        fields = _byte_fields(rows[first : first + 8], low, n_bits - low)
+        for h in compress(count(), fields):
+            field, start = fields[h], h << low
+            if not first:
+                # the first eight units find every code still 0
+                codes[start : start + width] = field.to_bytes(width, "little")
+            elif field.bit_count() << 4 < width:
+                # under one set bit per 16 vectors, a few Python steps per
+                # nonzero byte cost less than one C-level pass over the block
+                while field:
+                    g = (field.bit_length() - 1) >> 3
+                    codes[start + g] |= field >> 8 * g << first
+                    field &= (1 << 8 * g) - 1
+            else:
+                block = map(lshift, field.to_bytes(width, "little"), repeat(first))
+                codes[start : start + width] = map(or_, codes[start : start + width], block)
     accepted = set()
     for code in set(codes):
         mask = code
@@ -199,7 +215,43 @@ def tail_accepted_set(
             mask = layer.next_mask(mask)
         if mask & 1:
             accepted.add(code)
-    return [g for g, code in enumerate(codes) if code in accepted]
+    return list(compress(count(), map(accepted.__contains__, codes)))
+
+
+def _byte_fields(rows: Sequence[Row], low: int, high: int) -> list[int]:
+    """The firing sets of up to eight units over every index, one int per
+    block of indices with the same high bits: bit u of byte g of the
+    block-h int is set where unit u fires on index ``g | h << low``."""
+    width = 1 << low
+    fields = [0] * (1 << high)
+    places = None
+    for bit, (strict, bias, weights) in enumerate(rows):
+        # a lax unit starts 1 higher, which turns ">= 0" into "> 0" on integers
+        start = bias + (not strict)
+        vals = _doubled_sums(start, weights[:low])
+        offs = _doubled_sums(0, weights[low:])
+        # the unit fires in block h iff offs[h] passes minus the largest low sum
+        floor = -start - sum([w for w in weights[:low] if w > 0])
+        touched = [h for h, off in enumerate(offs) if off > floor]
+        if len(touched) <= low:
+            # no more blocks than a sort of the low sums takes passes over
+            # them: compare the sums with each block's cut
+            for h in touched:
+                cut = -offs[h]
+                fields[h] |= int.from_bytes(bytes([v > cut for v in vals]), "little") << bit
+            continue
+        # the unit fires in block h on the low indices whose sum passes
+        # -offs[h], a suffix of the indices in ascending order of their
+        # sums; tops[i] is the field of the suffix from position i
+        if places is None:
+            places = [1 << 8 * g for g in range(width)]
+        order = sorted(range(width), key=vals.__getitem__)
+        ascending = [vals[g] for g in order]
+        tops = list(accumulate(map(places.__getitem__, reversed(order)), or_, initial=0))
+        tops.reverse()
+        cuts = map(bisect_right, repeat(ascending), map(neg, offs))
+        fields = list(map(or_, fields, map(lshift, map(tops.__getitem__, cuts), repeat(bit))))
+    return fields
 
 
 @dataclass(frozen=True)

@@ -89,18 +89,25 @@ def _synthesize(scheme: Scheme, ground: int, conj: bool) -> tuple[PerceptronLaye
     return PerceptronLayer._of_rows(tuple(rows), (2,) * len(rows)), PerceptronLayer._of_rows((selector,), (2,))
 
 
-def build_dnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
+def build_dnf_network(halfspaces: Sequence[HalfSpace] | PerceptronLayer, scheme: Scheme) -> PerceptronNetwork:
     """3-layer network computing the union over the selector of the
-    scheme's cells: half-spaces, then AND units, then one OR unit."""
-    tail = _synthesize(scheme, len(halfspaces), True)
-    return PerceptronNetwork((layer_of(halfspaces), *tail))
+    scheme's cells: half-spaces, then AND units, then one OR unit.  A
+    layer in place of the half-spaces is the first layer as it is."""
+    return _network(halfspaces, scheme, True)
 
 
-def build_cnf_network(halfspaces: Sequence[HalfSpace], scheme: Scheme) -> PerceptronNetwork:
+def build_cnf_network(halfspaces: Sequence[HalfSpace] | PerceptronLayer, scheme: Scheme) -> PerceptronNetwork:
     """Dual synthesis: OR units per pair, one AND unit over the selector,
     computing the intersection of the scheme's cocells."""
-    tail = _synthesize(scheme, len(halfspaces), False)
-    return PerceptronNetwork((layer_of(halfspaces), *tail))
+    return _network(halfspaces, scheme, False)
+
+
+def _network(first: Sequence[HalfSpace] | PerceptronLayer, scheme: Scheme, conj: bool) -> PerceptronNetwork:
+    """The first layer, lowered only when it is given as half-spaces, then
+    the synthesized tail; the scheme is checked before the half-spaces."""
+    is_layer = isinstance(first, PerceptronLayer)
+    tail = _synthesize(scheme, first.output_dim if is_layer else len(first), conj)
+    return PerceptronNetwork((first if is_layer else layer_of(first), *tail))
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:

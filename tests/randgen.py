@@ -12,6 +12,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
 from polyperc import (
     ConstantFormError,
@@ -27,6 +28,7 @@ from polyperc import (
     PreconditionError,
     Scheme,
     SchemeError,
+    SizeCapError,
     conj_form,
     disj_form,
     format_rational,
@@ -338,3 +340,65 @@ def halfspace_presentation(i: int, n: int, complementary: bool = False) -> Schem
 def architecture(network: PerceptronNetwork) -> tuple[int, ...]:
     """Input dimension followed by every layer's output dimension."""
     return (network.input_dim,) + tuple(layer.output_dim for layer in network.layers)
+
+
+def doubled_sums(start: int, weights: Sequence[int]) -> list[int]:
+    """``start`` plus the sum of weights[j] over the set bits j of each
+    index, for every index in [0, 2^len(weights))."""
+    sums = [start]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def doubling_accepted_set(
+    tail_layers: Sequence[PerceptronLayer], n_bits: int
+) -> list[int]:
+    """Oracle for ``network.tail_accepted_set``, the kernel it replaced:
+    ascending indices of the bit vectors the tail maps to 1.
+
+    Bit i-1 of an index is input bit i, so index 5 over 3 bits is the
+    vector (1, 0, 1).
+
+    The first tail layer is evaluated on every index at once, one unit
+    at a time: the index splits into its low and high bits, the unit's
+    partial sums over each half are built by doubling, and the unit
+    fires where the two halves add up past zero.  The later layers then
+    only see the distinct firing codes of the first.
+    """
+    if not tail_layers:
+        raise PreconditionError("empty tail")
+    if tail_layers[0].input_dim != n_bits:
+        raise PreconditionError(
+            f"tail expects {tail_layers[0].input_dim} bits, got {n_bits}"
+        )
+    if tail_layers[-1].output_dim != 1:
+        raise PreconditionError("tail must be single-output")
+    low = (n_bits + 1) // 2
+    width = 1 << low
+    try:
+        codes = [0] * (1 << n_bits)
+    except (OverflowError, MemoryError):
+        raise SizeCapError(f"a table of 2^{n_bits} first-layer bit vectors cannot be built") from None
+    for u, (strict, bias, row) in enumerate(tail_layers[0].lowered):
+        # a lax unit starts 1 higher, which turns ">= 0" into "> 0" on integers
+        vals = doubled_sums(bias + (not strict), row[:low])
+        top = max(vals)
+        bit = 1 << u
+        for h, off in enumerate(doubled_sums(0, row[low:])):
+            cut = -off
+            if top <= cut:
+                continue
+            start = h << low
+            stop = start + width
+            codes[start:stop] = [
+                c | bit if v > cut else c for c, v in zip(codes[start:stop], vals)
+            ]
+    accepted = set()
+    for code in set(codes):
+        mask = code
+        for layer in tail_layers[1:]:
+            mask = layer.next_mask(mask)
+        if mask & 1:
+            accepted.add(code)
+    return [g for g, code in enumerate(codes) if code in accepted]

@@ -1,3 +1,4 @@
+import ast
 import importlib.metadata
 import os
 import random
@@ -630,6 +631,92 @@ def test_import_loads_no_numpy_or_cython():
     where, heavy = proc.stdout.splitlines()
     assert Path(where).resolve() == Path(polyperc.__file__).resolve()
     assert heavy == ""
+
+
+# the standard-library modules that src/ names; importing the CLI may load
+# nothing beyond what importing these loads, since every call pays for it
+SRC_STDLIB = (
+    "__future__", "argparse", "bisect", "dataclasses", "decimal", "enum", "fractions",
+    "functools", "itertools", "math", "operator", "random", "re", "sys", "typing",
+)
+
+
+def test_src_names_exactly_the_pinned_stdlib_modules():
+    src = Path(polyperc.__file__).resolve().parent
+    named = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                named.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                named.add(node.module.split(".")[0])
+    assert named == set(SRC_STDLIB)
+
+
+def test_import_loads_only_the_stdlib_modules_src_names():
+    code = (
+        "import importlib, sys\n"
+        f"for name in {SRC_STDLIB!r}: importlib.import_module(name)\n"
+        "before = set(sys.modules)\n"
+        "import polyperc.cli\n"
+        "extra = set(sys.modules) - before\n"
+        "print(','.join(sorted(m for m in extra if m.split('.')[0] != 'polyperc')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+MIXED_HS = ("0 1 >=\n0 1 1 >=\n", "0 1 1 >=\n0 1 >=\n")
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["feasible", "h:"], (0, "FEASIBLE\nWITNESS=()\n", "")),
+        (["feasible", "h:\n  \n"], (0, "FEASIBLE\nWITNESS=()\n", "")),
+        (["synth", "h:", "s:N=1\nG1: ONES=1 ZEROS=-\nJ=1\n"], (4, "", "error: scheme over 1 pairs with 0 half-spaces\n")),
+        (["prune", "h:", "s:N=1\nG1: ONES=1 ZEROS=-\nJ=1\n"], (3, "", "error: scheme over 1 with 0 half-spaces\n")),
+        *[
+            (argv, (3, "", f"error: mixed {what}\n"))
+            for hs in MIXED_HS
+            for argv, what in [
+                (["feasible", "h:" + hs], "constraint dimensions"),
+                (["synth", "h:" + hs, "s:N=2\nG1: ONES=1 ZEROS=-\nJ=1\n"], "unit dimensions in layer"),
+                (["synth", "h:" + hs, "s:N=2\nG1: ONES=1 ZEROS=-\nJ=1\n", "--mode", "cnf"], "unit dimensions in layer"),
+                # the file's dimensions come before the scheme's synthesis faults
+                (["synth", "h:" + hs, "s:N=2\nG1: ONES=1 ZEROS=-\nJ=-\n"], "unit dimensions in layer"),
+                (["prune", "h:" + hs, "s:N=2\nG1: ONES=1 ZEROS=2\nJ=1\n"], "constraint dimensions"),
+            ]
+        ],
+        (["prune", "h:" + MIXED_HS[0], "s:N=2\nG1: ONES=1 ZEROS=-\nJ=1\n"], (0, "N=2\nG1: ONES=1 ZEROS=-\nJ=1\n", "")),
+        *[
+            ([command, "h:0 1 >=\n1 0 0 >\n", *rest], (2, "", "error: line 2: half-space form has all-zero weights\n"))
+            for command, *rest in [["feasible"], ["synth", "s:N=2\nJ=-\n"], ["prune", "s:N=2\nJ=-\n"]]
+        ],
+    ],
+)
+def test_halfspace_file_outcomes(argv, outcome, files, capsys):
+    # empty files, mixed dimensions and constant forms end as they did
+    # when each line was read into a HalfSpace
+    argv = [files(arg[0], arg[2:]) if arg[1:2] == ":" else arg for arg in argv]
+    assert run(capsys, *argv) == outcome
+
+
+def test_halfspace_files_build_no_halfspace(files, capsys, monkeypatch):
+    # synth, prune and feasible read each line into its integer row
+    def refuse(self):
+        raise AssertionError("a HalfSpace was built")
+
+    monkeypatch.setattr(polyperc.HalfSpace, "__post_init__", refuse)
+    hs = files("h", "1/2 -3/4 1 >\n2 1 1 >=\n")
+    scheme = files("s", "N=2\nG1: ONES=1 ZEROS=2\nG2: ONES=2 ZEROS=1\nJ=1,2\n")
+    assert run(capsys, "synth", hs, scheme)[0] == 0
+    assert run(capsys, "synth", hs, scheme, "--mode", "cnf")[0] == 0
+    assert run(capsys, "prune", hs, scheme)[0] == 0
+    assert run(capsys, "feasible", hs) == (0, "FEASIBLE\nWITNESS=(0,1/2)\n", "")
 
 
 def boundary_point(rng, halfspace):

@@ -6,11 +6,12 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from polyperc import feasibility
+from polyperc import feasibility, forms
 from polyperc import (
     HalfSpace,
     InequalityKind,
     LinearForm,
+    PerceptronLayer,
     PreconditionError,
     layer_of,
     lower_layer,
@@ -165,6 +166,58 @@ def tail_layers(draw):
 def test_tail_accepted_matches_contains_oracle(case):
     layers, n_bits = case
     assert tail_accepted_set(layers, n_bits) == brute_accepted(layers, n_bits)
+
+
+@strat.composite
+def oracle_unit(draw, fan_in):
+    """A unit over fan_in bits that may never fire, always fire, sum to
+    exactly 0 on some bit vector, or have a random bias."""
+    ws = [Fraction(draw(weights)) for _ in range(fan_in)]
+    if not any(ws):
+        ws[draw(strat.integers(0, fan_in - 1))] = Fraction(1)
+    shape = draw(strat.sampled_from(["never", "always", "boundary", "random"]))
+    if shape == "never":
+        return unit(-sum(w for w in ws if w > 0), ws, InequalityKind.STRICT)
+    if shape == "always":
+        return unit(-sum(w for w in ws if w < 0), ws, InequalityKind.LAX)
+    if shape == "boundary":
+        on = draw(strat.integers(0, (1 << fan_in) - 1))
+        bias = -sum(w for j, w in enumerate(ws) if on >> j & 1)
+    else:
+        bias = Fraction(draw(weights))
+    return unit(bias, ws, draw(strat.sampled_from(InequalityKind)))
+
+
+@strat.composite
+def oracle_tails(draw):
+    """A tail over 1 to 14 bits: a first layer of random units, 1, 7-9,
+    15-17 or 63-65 of them, or of AND rows over random full pairs as
+    normalization writes them, then 0 to 2 layers of random units."""
+    later = draw(strat.integers(0, 2))
+    if draw(strat.booleans()):
+        n_bits = draw(strat.integers(1, 14))
+        count = draw(strat.integers(1, min(1 << n_bits, 40))) if later else 1
+        vectors = draw(strat.lists(strat.integers(0, (1 << n_bits) - 1), min_size=count, max_size=count, unique=True))
+        full = (1 << n_bits) - 1
+        rows = tuple(forms._unit_row(g, full ^ g, n_bits, True) for g in vectors)
+        first = PerceptronLayer._of_rows(rows, (2,) * count)
+    else:
+        width = draw(strat.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65])) if later else 1
+        n_bits = draw(strat.integers(1, 10 if width > 17 else 14))
+        first = layer_of([draw(oracle_unit(n_bits)) for _ in range(width)])
+    layers = [first]
+    for k in range(later):
+        fan_out = 1 if k == later - 1 else draw(strat.integers(1, 4))
+        layers.append(layer_of([draw(oracle_unit(layers[-1].output_dim)) for _ in range(fan_out)]))
+    return layers, n_bits
+
+
+@hypothesis.settings(deadline=None, suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(oracle_tails())
+def test_tail_accepted_matches_doubling_oracle(case):
+    # the byte-field kernel against the doubling kernel it replaced
+    layers, n_bits = case
+    assert tail_accepted_set(layers, n_bits) == randgen.doubling_accepted_set(layers, n_bits)
 
 
 def test_tail_accepted_at_16_bits_pinned():

@@ -180,6 +180,23 @@ def test_synthesis_matches_the_fraction_oracle(case):
             assert layer.scales == oracle.scales
 
 
+@hypothesis.given(synthesis_cases())
+def test_synthesis_takes_a_layer_as_its_first_layer(case):
+    # a layer in place of the half-spaces gives the same network or the
+    # same error, and is the network's first layer as it is
+    halfspaces, scheme = case
+    layer = layer_of(halfspaces)
+    for build in (build_dnf_network, build_cnf_network):
+        try:
+            expected = build(halfspaces, scheme)
+        except SchemeError as exc:
+            with pytest.raises(SchemeError, match=f"^{re.escape(str(exc))}$"):
+                build(layer, scheme)
+            continue
+        net = build(layer, scheme)
+        assert net == expected and net.layers[0] is layer
+
+
 def test_normalize_keeps_the_first_layer_object(ground):
     deep = PerceptronNetwork((layer_of(ground), layer_of([parse_halfspace("-1/2 1 1 >=")])))
     assert normalize_three_layers(deep).layers[0] is deep.layers[0]
