@@ -185,10 +185,6 @@ class LinearForm:
                 total += w * c
         return total
 
-    def lowered(self) -> tuple[int, tuple[int, ...]]:
-        """Bias and weights times the positive lcm of their denominators."""
-        return _cleared([c.as_integer_ratio() for c in (self.bias, *self.weights)])[1:]
-
     def negated(self) -> "LinearForm":
         return LinearForm(-self.bias, tuple(-w for w in self.weights))
 

@@ -37,7 +37,6 @@ from .indexing import _members
 __all__ = [
     "PerceptronLayer",
     "PerceptronNetwork",
-    "layer_of",
     "bits_of_index",
     "parse_network",
     "format_network",
@@ -113,6 +112,8 @@ class PerceptronLayer:
 
     def next_mask(self, mask: int) -> int:
         """Firing units on the bit vector encoded by mask (bit j-1 is input j)."""
+        if mask >> self.input_dim:  # also -1 for a negative mask
+            raise PreconditionError(f"mask is not a bit vector over {self.input_dim} inputs")
         on = [i - 1 for i in _members(mask)]
         out = 0
         for u, (strict, bias, weights) in enumerate(self.lowered):
@@ -132,10 +133,6 @@ def _input_dim(dims: set[int]) -> int:
     if len(dims) != 1:
         raise DimensionError("mixed unit dimensions in layer")
     return dims.pop()
-
-
-def layer_of(halfspaces: Iterable[HalfSpace]) -> PerceptronLayer:
-    return PerceptronLayer(tuple(halfspaces))
 
 
 def lower_layer(
@@ -178,6 +175,7 @@ def tail_accepted_set(
     """
     if not tail_layers:
         raise PreconditionError("empty tail")
+    PerceptronNetwork(tuple(tail_layers))  # the layers must chain
     if tail_layers[0].input_dim != n_bits:
         raise PreconditionError(
             f"tail expects {tail_layers[0].input_dim} bits, got {n_bits}"

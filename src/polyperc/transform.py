@@ -22,7 +22,7 @@ from .feasibility import DEFAULT_CONSTRAINT_CAP, _cell_rows, _point, _realizable
 from .forms import _unit_row
 from .geometry import HalfSpace, Point, Row, _scaled_row, _shown_int
 from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
-from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, layer_of, tail_accepted_set
+from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, tail_accepted_set
 
 __all__ = [
     "build_dnf_network",
@@ -107,7 +107,7 @@ def _network(first: Sequence[HalfSpace] | PerceptronLayer, scheme: Scheme, conj:
     the synthesized tail; the scheme is checked before the half-spaces."""
     is_layer = isinstance(first, PerceptronLayer)
     tail = _synthesize(scheme, first.output_dim if is_layer else len(first), conj)
-    return PerceptronNetwork((first if is_layer else layer_of(first), *tail))
+    return PerceptronNetwork((first if is_layer else PerceptronLayer(first), *tail))
 
 
 def pair_of_bits(g: int, n_bits: int) -> IndexPair:
@@ -186,8 +186,7 @@ def normalize_three_layers(
         if permit_constant:
             return ConstantNetwork(0, network.input_dim)
         raise SchemeError("empty scheme: the network is constantly 0")
-    first = network.layers[0]
-    return PerceptronNetwork((first, *_synthesize(report.scheme, first.output_dim, True)))
+    return build_dnf_network(network.layers[0], report.scheme)
 
 
 def _check_prune_ground(ambient: int, count: int) -> None:

@@ -147,6 +147,22 @@ def test_cell_witness_and_cell_contains_refuse_the_same_pairs(pair, message):
         cell_contains(hs, pair, (Fraction(0),))
 
 
+def test_cell_witness_and_cell_contains_refuse_a_pair_of_two_dimensions():
+    # x >= 1 on the line and y1 + y2 > 0 in the plane
+    hs = (parse_halfspace("-1 1 >="), parse_halfspace("0 1 1 >"))
+    for pair in (IndexPair.of([1, 2], [], 2), IndexPair.of([1], [2], 2)):
+        with pytest.raises(DimensionError, match="^mixed constraint dimensions$"):
+            cell_witness(hs, pair)
+        with pytest.raises(DimensionError, match="^mixed constraint dimensions$"):
+            cell_contains(hs, pair, (Fraction(1),))
+    # a pair within one dimension still answers
+    assert cell_witness(hs, IndexPair.of([1], [], 2)) == (Fraction(1),)
+    assert cell_contains(hs, IndexPair.of([1], [], 2), (Fraction(2),)) == 1
+    assert cell_witness(hs, IndexPair.of([], [2], 2)) is not None
+    assert cell_contains(hs, IndexPair.of([], [2], 2), (Fraction(1), Fraction(-1))) == 1
+    assert cell_contains(hs, IndexPair.of([2], [], 2), (Fraction(1), Fraction(-1))) == 0
+
+
 def test_cell_is_empty_golden():
     cell_is_empty = randgen.cell_is_empty
     hs = (parse_halfspace("0 1 >="), parse_halfspace("1 -1 >="))

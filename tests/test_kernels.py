@@ -8,12 +8,12 @@ import pytest
 
 from polyperc import feasibility, forms
 from polyperc import (
+    DimensionError,
     HalfSpace,
     InequalityKind,
     LinearForm,
     PerceptronLayer,
     PreconditionError,
-    layer_of,
     lower_layer,
     tail_accepted_set,
 )
@@ -39,7 +39,7 @@ def random_tail(rng, n_bits, depth):
             bias = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             kind = InequalityKind.LAX if rng.random() < 0.5 else InequalityKind.STRICT
             units.append(unit(bias, ws, kind))
-        layers.append(layer_of(units))
+        layers.append(PerceptronLayer(units))
         width = out
     return layers
 
@@ -61,7 +61,7 @@ def brute_accepted(layers, n_bits):
 
 
 def test_lower_layer_golden():
-    layer = layer_of(
+    layer = PerceptronLayer(
         [
             unit(Fraction(1, 2), [Fraction(1), Fraction(-1, 3)]),
             unit(Fraction(-2), [Fraction(0), Fraction(5)], InequalityKind.STRICT),
@@ -96,7 +96,7 @@ def test_layer_rows_are_the_feasibility_rows():
     rng = random.Random(23)
     for _ in range(20):
         hs = randgen.halfspaces(rng, rng.randint(1, 6), rng.randint(1, 4))
-        layer = layer_of(hs)
+        layer = PerceptronLayer(hs)
         rows = tuple(feasibility._rows((u.form, u.kind) for u in layer.units))
         assert layer.lowered == rows
         biases, weights, lax = lower_layer(layer)
@@ -106,13 +106,13 @@ def test_layer_rows_are_the_feasibility_rows():
 
 
 def test_tail_accepted_and_golden():
-    layer = layer_of([unit(Fraction(-3, 2), [1, 1])])
+    layer = PerceptronLayer([unit(Fraction(-3, 2), [1, 1])])
     assert tail_accepted_set([layer], 2) == [3]
 
 
 def test_tail_accepted_bit_order():
     # index bit i-1 is input bit i: over 3 bits, only (1, 0, 1) -> 5
-    layer = layer_of([unit(Fraction(-3, 2), [1, -1, 1])])
+    layer = PerceptronLayer([unit(Fraction(-3, 2), [1, -1, 1])])
     assert tail_accepted_set([layer], 3) == [5]
 
 
@@ -157,7 +157,7 @@ def tail_layers(draw):
                 bias = Fraction(draw(weights))
             kind = draw(strat.sampled_from(InequalityKind))
             units.append(unit(bias, ws, kind))
-        layers.append(layer_of(units))
+        layers.append(PerceptronLayer(units))
     return layers, n_bits
 
 
@@ -204,11 +204,12 @@ def oracle_tails(draw):
     else:
         width = draw(strat.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65])) if later else 1
         n_bits = draw(strat.integers(1, 10 if width > 17 else 14))
-        first = layer_of([draw(oracle_unit(n_bits)) for _ in range(width)])
+        first = PerceptronLayer([draw(oracle_unit(n_bits)) for _ in range(width)])
     layers = [first]
     for k in range(later):
         fan_out = 1 if k == later - 1 else draw(strat.integers(1, 4))
-        layers.append(layer_of([draw(oracle_unit(layers[-1].output_dim)) for _ in range(fan_out)]))
+        fan_in = layers[-1].output_dim
+        layers.append(PerceptronLayer([draw(oracle_unit(fan_in)) for _ in range(fan_out)]))
     return layers, n_bits
 
 
@@ -233,19 +234,26 @@ def test_tail_accepted_at_16_bits_pinned():
 
 def test_huge_weights_fall_back():
     big = Fraction(1 << 80)
-    layer = layer_of([unit(Fraction(1), [big, -big])])
+    layer = PerceptronLayer([unit(Fraction(1), [big, -big])])
     assert tail_accepted_set([layer], 2) == [0, 1, 3]
 
 
 def test_tail_validation():
-    layer = layer_of([unit(Fraction(0), [1, 1])])
-    two_out = layer_of([unit(Fraction(0), [1]), unit(Fraction(0), [1])])
+    layer = PerceptronLayer([unit(Fraction(0), [1, 1])])
+    two_out = PerceptronLayer([unit(Fraction(0), [1]), unit(Fraction(0), [1])])
     with pytest.raises(PreconditionError):
         tail_accepted_set([], 2)
     with pytest.raises(PreconditionError):
         tail_accepted_set([layer], 3)
     with pytest.raises(PreconditionError):
         tail_accepted_set([two_out], 1)
+    # a maps 3 bits to 2, so only a layer of 2 inputs chains after it
+    a = PerceptronLayer([unit(Fraction(0), [1, 1, 1]), unit(Fraction(0), [1, -1, 1])])
+    for fan_in in (5, 1):
+        b = PerceptronLayer([unit(Fraction(0), [1] * fan_in)])
+        with pytest.raises(DimensionError, match=f"^layer 1 feeds 2 bits into a layer expecting {fan_in}$"):
+            tail_accepted_set([a, b], 3)
+
 
 
 def all_rows(n):

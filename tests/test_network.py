@@ -21,7 +21,6 @@ from polyperc import (
     Scheme,
     bits_of_index,
     format_network,
-    layer_of,
     lower_layer,
     parse_halfspace,
     parse_network,
@@ -33,7 +32,7 @@ import randgen
 @pytest.fixture
 def two_unit_layer():
     # y1 >= 0 and y2 - 1 > 0 over the plane
-    return layer_of(
+    return PerceptronLayer(
         [parse_halfspace("0 1 0 >="), parse_halfspace("-1 0 1 >")]
     )
 
@@ -47,7 +46,7 @@ def test_layer_construction(two_unit_layer):
 
 def test_layer_rejects_empty():
     with pytest.raises(PreconditionError, match="^empty layer$"):
-        layer_of([])
+        PerceptronLayer([])
     with pytest.raises(PreconditionError, match="^empty layer$"):
         PerceptronLayer._of_rows((), ())
 
@@ -59,7 +58,7 @@ def test_network_rejects_no_layers():
 
 def test_layer_rejects_mixed_dimensions():
     with pytest.raises(DimensionError, match="^mixed unit dimensions in layer$"):
-        layer_of([parse_halfspace("0 1 >="), parse_halfspace("0 1 1 >=")])
+        PerceptronLayer([parse_halfspace("0 1 >="), parse_halfspace("0 1 1 >=")])
     with pytest.raises(DimensionError, match="^mixed unit dimensions in layer$"):
         PerceptronLayer._of_rows(((False, 1, (1,)), (True, 0, (1, 2))), (1, 1))
 
@@ -87,8 +86,8 @@ def test_architecture():
 
 
 def test_incomposable_layers_rejected():
-    wide = layer_of([parse_halfspace("0 1 >="), parse_halfspace("1 1 >=")])
-    narrow_in = layer_of([parse_halfspace("0 1 0 0 >=")])
+    wide = PerceptronLayer([parse_halfspace("0 1 >="), parse_halfspace("1 1 >=")])
+    narrow_in = PerceptronLayer([parse_halfspace("0 1 0 0 >=")])
     with pytest.raises(DimensionError):
         PerceptronNetwork((wide, narrow_in))
 
@@ -140,6 +139,14 @@ def test_next_mask_of_a_wide_layer_is_the_fraction_oracle():
         assert bits_of_index(layer.next_mask(mask), 8) == expect
 
 
+@pytest.mark.parametrize("mask", [0b100, 1 << 70, -1, -4], ids=["next-bit", "far-bit", "minus-one", "negative"])
+def test_next_mask_rejects_a_mask_off_its_inputs(two_unit_layer, mask):
+    with pytest.raises(PreconditionError, match="^mask is not a bit vector over 2 inputs$"):
+        two_unit_layer.next_mask(mask)
+    # (1, 1) passes y1 >= 0 but not y2 - 1 > 0
+    assert two_unit_layer.next_mask(0b11) == 0b01
+
+
 HUGE = 10**5000
 
 coefficients = strat.one_of(
@@ -175,7 +182,7 @@ def network_poly_point(draw):
         draw(strat.integers(1, 4)) for _ in range(draw(strat.integers(1, 3)))
     ]
     layers = [
-        layer_of(draw(units(w_in, w_out))) for w_in, w_out in zip(widths, widths[1:])
+        PerceptronLayer(draw(units(w_in, w_out))) for w_in, w_out in zip(widths, widths[1:])
     ]
     first = layers[0].units
     x = [draw(coordinates) for _ in range(dim)]

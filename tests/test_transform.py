@@ -13,6 +13,7 @@ from polyperc import (
     IndexPair,
     IndexSet,
     Mode,
+    PerceptronLayer,
     PerceptronNetwork,
     PreconditionError,
     PresentedPolyhedron,
@@ -26,7 +27,6 @@ from polyperc import (
     extract_scheme,
     format_halfspace,
     format_network,
-    layer_of,
     normalize_three_layers,
     pair_of_bits,
     parse_halfspace,
@@ -185,7 +185,7 @@ def test_synthesis_takes_a_layer_as_its_first_layer(case):
     # a layer in place of the half-spaces gives the same network or the
     # same error, and is the network's first layer as it is
     halfspaces, scheme = case
-    layer = layer_of(halfspaces)
+    layer = PerceptronLayer(halfspaces)
     for build in (build_dnf_network, build_cnf_network):
         try:
             expected = build(halfspaces, scheme)
@@ -198,7 +198,8 @@ def test_synthesis_takes_a_layer_as_its_first_layer(case):
 
 
 def test_normalize_keeps_the_first_layer_object(ground):
-    deep = PerceptronNetwork((layer_of(ground), layer_of([parse_halfspace("-1/2 1 1 >=")])))
+    or_layer = PerceptronLayer([parse_halfspace("-1/2 1 1 >=")])
+    deep = PerceptronNetwork((PerceptronLayer(ground), or_layer))
     assert normalize_three_layers(deep).layers[0] is deep.layers[0]
 
 
@@ -219,7 +220,7 @@ def test_extract_and_golden(ground):
 
 
 def test_extract_depth_one():
-    net = PerceptronNetwork((layer_of([parse_halfspace("0 1 >=")]),))
+    net = PerceptronNetwork((PerceptronLayer([parse_halfspace("0 1 >=")]),))
     report = extract_scheme(net)
     assert report.enumerated_count == 2
     assert [p.sort_key() for p in report.scheme.pairs] == [((1,), ())]
@@ -263,7 +264,7 @@ def test_extract_prune_keeps_membership(ground):
 
 
 def test_extract_rejects_multi_output(ground):
-    net = PerceptronNetwork((layer_of(ground),))
+    net = PerceptronNetwork((PerceptronLayer(ground),))
     with pytest.raises(PreconditionError):
         extract_scheme(net)
 
@@ -277,10 +278,10 @@ def test_extract_enumeration_cap(ground):
 def test_normalize_golden(ground):
     deep = PerceptronNetwork(
         (
-            layer_of(ground),
-            layer_of([parse_halfspace("-1/2 1 1 >=")]),  # OR
-            layer_of([parse_halfspace("0 1 >=")]),  # pass-through
-            layer_of([parse_halfspace("-1/2 1 >")]),  # threshold again
+            PerceptronLayer(ground),
+            PerceptronLayer([parse_halfspace("-1/2 1 1 >=")]),  # OR
+            PerceptronLayer([parse_halfspace("0 1 >=")]),  # pass-through
+            PerceptronLayer([parse_halfspace("-1/2 1 >")]),  # threshold again
         )
     )
     flat = normalize_three_layers(deep)
@@ -306,8 +307,8 @@ def test_normalize_random_networks():
 def never_firing_net():
     return PerceptronNetwork(
         (
-            layer_of([parse_halfspace("0 1 >=")]),
-            layer_of([parse_halfspace("-3/2 1 >=")]),
+            PerceptronLayer([parse_halfspace("0 1 >=")]),
+            PerceptronLayer([parse_halfspace("-3/2 1 >=")]),
         )
     )
 
@@ -380,9 +381,9 @@ def test_equivalence_and_vs_or_counterexample(ground):
 
 def test_equivalence_ignores_unrealizable_disagreements():
     # bits (1,1) and (0,0) need x >= 0 and x < 0 at once
-    first = layer_of([parse_halfspace("0 1 >="), parse_halfspace("0 -1 >")])
-    either = PerceptronNetwork((first, layer_of([parse_halfspace("-1/2 1 1 >=")])))
-    not_both = PerceptronNetwork((first, layer_of([parse_halfspace("3/2 -1 -1 >")])))
+    first = PerceptronLayer([parse_halfspace("0 1 >="), parse_halfspace("0 -1 >")])
+    either = PerceptronNetwork((first, PerceptronLayer([parse_halfspace("-1/2 1 1 >=")])))
+    not_both = PerceptronNetwork((first, PerceptronLayer([parse_halfspace("3/2 -1 -1 >")])))
     assert set(extract_scheme(either).scheme.pairs) != set(
         extract_scheme(not_both).scheme.pairs
     )
