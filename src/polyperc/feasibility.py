@@ -7,7 +7,10 @@ removes the highest remaining coordinate by combining every lower bound
 with every upper bound.  A combined constraint is strict when either
 parent is, which is what keeps open and closed half-spaces apart without
 any perturbation.  Witness points come from back-substitution through
-the recorded bounds, the only step that divides.
+the recorded bounds, on integers as well: a bound at the point so far is
+a numerator over a positive denominator, bounds are compared by
+cross-multiplying, and :func:`_point` builds the only rationals, the
+final coordinates.
 
 Every cell's rows come from one builder, :func:`_cell_rows`: its ones
 rows as they are, then the complements of its zeros rows.
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _complement, _holds, _scaled_row
@@ -64,7 +67,7 @@ class InequalitySystem:
         return True
 
 
-def _cell_rows(rows: Sequence[Row], ones: int, zeros: int) -> list[Row]:
+def _cell_rows(rows: Sequence[Row] | Mapping[int, Row], ones: int, zeros: int) -> list[Row]:
     """The rows of a cell: row i of each ones index i as it is, then the
     complement of row i of each zeros index i, each in ascending order."""
     return [rows[i - 1] for i in _members(ones)] + [_complement(rows[i - 1]) for i in _members(zeros)]
@@ -75,9 +78,12 @@ def _pair_rows(halfspaces: Sequence[HalfSpace], pair: IndexPair) -> tuple[list[R
     dimension; the empty pair's is the first half-space's."""
     if pair.ambient != len(halfspaces):
         raise PreconditionError(f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}")
-    if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
+    named = pair.ones_mask | pair.zeros_mask
+    if named >> pair.ambient:
         raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
-    rows = _cell_rows([_scaled_row(h.form, h.kind)[0] for h in halfspaces], pair.ones_mask, pair.zeros_mask)
+    # lower only the half-spaces the pair names
+    lowered = {i - 1: _scaled_row(halfspaces[i - 1].form, halfspaces[i - 1].kind)[0] for i in _members(named)}
+    rows = _cell_rows(lowered, pair.ones_mask, pair.zeros_mask)
     dims = {len(coeffs) for _, _, coeffs in rows} or {h.dimension for h in halfspaces[:1]}
     if len(dims) > 1:
         raise DimensionError("mixed constraint dimensions")
@@ -172,14 +178,22 @@ def is_feasible(system: InequalitySystem, cap: int = DEFAULT_CONSTRAINT_CAP) -> 
     return dimension is None or _eliminate(_rows(system.constraints), dimension, cap)[0]
 
 
-def _tightest(bounds: list[_Bound], den: int, coords: list[int], pick) -> tuple:
-    """``pick`` of the bounds at ``coords / den``, or None, and whether a strict one attains it."""
-    values = [
-        (Fraction(-(bias * den + sum(map(mul, head, coords))), pivot * den), strict)
-        for strict, bias, head, pivot in bounds
-    ]
-    best = pick((value for value, _ in values), default=None)
-    return best, any(strict for value, strict in values if value == best)
+def _tightest(bounds: list[_Bound], den: int, coords: list[int]) -> Optional[tuple[int, int, bool]]:
+    """The tightest of the bounds at ``coords / den`` as ``(num, q, strict)``, or None.
+
+    Bound ``(strict, bias, head, pivot)`` gives ``num = -(bias*den + head·coords)``
+    and ``q = |pivot|*den > 0``: a lower bound at ``num / q``, an upper one at
+    ``-num / q``, so the tightest has the largest ``num / q`` either way, found
+    by cross-multiplying.  ``strict`` says whether a strict bound attains it.
+    """
+    best = None
+    for strict, bias, head, pivot in bounds:
+        num, q = -(bias * den + sum(map(mul, head, coords))), abs(pivot) * den
+        if best is None or num * best[1] > best[0] * q:
+            best = num, q, strict
+        elif strict and num * best[1] == best[0] * q:
+            best = num, q, True
+    return best
 
 
 def _solve(rows: list[Row], dimension: int, cap: int) -> Optional[tuple[int, list[int]]]:
@@ -190,20 +204,24 @@ def _solve(rows: list[Row], dimension: int, cap: int) -> Optional[tuple[int, lis
         return None
     den, coords = 1, []
     for lowers, uppers in reversed(stages):
-        lo, lo_strict = _tightest(lowers, den, coords, max)
-        hi, hi_strict = _tightest(uppers, den, coords, min)
+        lo, hi = _tightest(lowers, den, coords), _tightest(uppers, den, coords)
         if lo is not None and hi is not None:
+            (ln, ld, _), (hn, hd, _) = lo, hi
             # elimination already rejected a strict boundary clash at lo == hi
-            coordinate = lo if lo == hi else (lo + hi) / 2
+            num, q = (ln, ld) if ln * hd == -hn * ld else (ln * hd - hn * ld, 2 * ld * hd)
         elif lo is not None:
-            coordinate = lo + 1 if lo_strict else lo
+            ln, q, strict = lo
+            num = ln + q if strict else ln
         elif hi is not None:
-            coordinate = hi - 1 if hi_strict else hi
+            hn, q, strict = hi
+            num = -hn - q if strict else -hn
         else:
-            coordinate = Fraction(0)
-        scale = coordinate.denominator // math.gcd(den, coordinate.denominator)
+            num, q = 0, 1
+        g = math.gcd(num, q)
+        num, q = num // g, q // g
+        scale = q // math.gcd(den, q)
         den, coords = den * scale, [c * scale for c in coords]
-        coords.append(coordinate.numerator * (den // coordinate.denominator))
+        coords.append(num * (den // q))
     return den, coords
 
 

@@ -12,7 +12,8 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
 from polyperc import (
     ConstantFormError,
@@ -34,7 +35,7 @@ from polyperc import (
     format_rational,
     is_feasible,
 )
-from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP
+from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP, _eliminate
 from polyperc.forms import _unit_form
 from polyperc.geometry import _RATIONAL, MAX_DIGITS, _digit_count, _shown
 from polyperc.indexing import check_ground, lex_key
@@ -283,6 +284,45 @@ def cell_is_empty(halfspaces, pair: IndexPair, cap: int = DEFAULT_CONSTRAINT_CAP
     """Oracle for the realizable-cell search: one elimination of the
     pair's Fraction system."""
     return not is_feasible(system_of_cell(halfspaces, pair), cap)
+
+
+def fraction_tightest(bounds, den: int, coords: list[int], pick) -> tuple:
+    """Oracle for ``feasibility._tightest``, the back-substitution step it
+    replaced: ``pick`` of the bounds at ``coords / den`` as ``Fraction``s,
+    or None, and whether a strict one attains it."""
+    values = [
+        (Fraction(-(bias * den + sum(map(mul, head, coords))), pivot * den), strict)
+        for strict, bias, head, pivot in bounds
+    ]
+    best = pick((value for value, _ in values), default=None)
+    return best, any(strict for value, strict in values if value == best)
+
+
+def fraction_solve(rows, dimension: int, cap: int) -> Optional[tuple[int, list[int]]]:
+    """Oracle for ``feasibility._solve``: the same elimination, then
+    back-substitution on ``Fraction``s, one per candidate bound and per
+    coordinate.  A point of the rows as a positive common denominator and
+    integer coordinates, or None when there is none."""
+    feasible, stages = _eliminate(rows, dimension, cap)
+    if not feasible:
+        return None
+    den, coords = 1, []
+    for lowers, uppers in reversed(stages):
+        lo, lo_strict = fraction_tightest(lowers, den, coords, max)
+        hi, hi_strict = fraction_tightest(uppers, den, coords, min)
+        if lo is not None and hi is not None:
+            # elimination already rejected a strict boundary clash at lo == hi
+            coordinate = lo if lo == hi else (lo + hi) / 2
+        elif lo is not None:
+            coordinate = lo + 1 if lo_strict else lo
+        elif hi is not None:
+            coordinate = hi - 1 if hi_strict else hi
+        else:
+            coordinate = Fraction(0)
+        scale = coordinate.denominator // math.gcd(den, coordinate.denominator)
+        den, coords = den * scale, [c * scale for c in coords]
+        coords.append(coordinate.numerator * (den // coordinate.denominator))
+    return den, coords
 
 
 def rational_token(text: str) -> Fraction:

@@ -16,10 +16,14 @@ from polyperc import (
     SizeCapError,
     cell_contains,
     cell_witness,
+    cocell_contains,
     is_feasible,
     parse_halfspace,
     witness,
 )
+import polyperc.feasibility as feasibility
+from polyperc.feasibility import _cell_rows, _solve
+from polyperc.geometry import _holds, _scaled_row
 
 import randgen
 
@@ -161,6 +165,31 @@ def test_cell_witness_and_cell_contains_refuse_a_pair_of_two_dimensions():
     assert cell_witness(hs, IndexPair.of([], [2], 2)) is not None
     assert cell_contains(hs, IndexPair.of([], [2], 2), (Fraction(1), Fraction(-1))) == 1
     assert cell_contains(hs, IndexPair.of([2], [], 2), (Fraction(1), Fraction(-1))) == 0
+
+
+def test_a_partial_pair_lowers_only_the_halfspaces_it_names(monkeypatch):
+    # over 12 half-spaces, a pair naming 2, 7 and 11 lowers those three on
+    # each call and answers as the pair's Fraction system does
+    rng = random.Random(55)
+    hs = randgen.halfspaces(rng, 12, 3)
+    pair = IndexPair.of([2, 7], [11], 12)
+    cell = randgen.system_of_cell(hs, pair)
+    expected = witness(cell)
+    x = randgen.point(rng, 3)
+    lowered = []
+    real = feasibility._scaled_row
+    monkeypatch.setattr(feasibility, "_scaled_row", lambda form, kind: lowered.append(form) or real(form, kind))
+    calls = [
+        (cell_witness, (hs, pair), expected),
+        (cell_contains, (hs, pair, x), int(cell.satisfies(x))),
+        (cocell_contains, (hs, pair.swapped(), x), 1 - int(cell.satisfies(x))),
+    ]
+    for call, args, answer in calls:
+        lowered.clear()
+        assert call(*args) == answer
+        assert lowered == [hs[1].form, hs[6].form, hs[10].form]
+    with pytest.raises(PreconditionError, match="^pair names an index outside 1..12$"):
+        cell_witness(hs, IndexPair(1 << 12, 0, 12))
 
 
 def test_cell_is_empty_golden():
@@ -318,3 +347,59 @@ def test_witness_satisfies_and_matches_is_feasible(s):
         assert len(w) == s.dimension
         assert all(type(c) is Fraction for c in w)
         assert s.satisfies(w)
+
+
+BIG = 2**80
+row_entries = strat.one_of(strat.integers(-3, 3), strat.sampled_from([BIG, -BIG, BIG + 1, 3 - BIG]))
+
+
+@strat.composite
+def back_substitution_systems(draw):
+    """Integer rows in 1 to 5 dimensions: either the ``_cell_rows`` of a
+    random arrangement and pair, or rows that are all strict, all lax or
+    mixed, where each coordinate's column takes any sign, only positive
+    coefficients (lower bounds only), only negative ones (upper bounds
+    only) or zeros (no bound), with a lax pair ``f >= 0``, ``-f >= 0``
+    added or not so that bounds tie."""
+    m = draw(strat.integers(1, 5))
+    if draw(strat.booleans()):
+        n = draw(strat.integers(1, 6))
+        hs = randgen.halfspaces(random.Random(draw(strat.integers(0, 2**32 - 1))), n, m)
+        ones, zeros = draw(strat.integers(0, (1 << n) - 1)), draw(strat.integers(0, (1 << n) - 1))
+        return _cell_rows([_scaled_row(h.form, h.kind)[0] for h in hs], ones, zeros & ~ones), m
+    kinds = draw(strat.sampled_from([[True], [False], [True, False]]))
+    signs = [draw(strat.sampled_from(["any", "lower", "upper", "free"])) for _ in range(m)]
+    rows = []
+    for _ in range(draw(strat.integers(1, 5))):
+        coeffs = [draw(row_entries) for _ in range(m)]
+        coeffs = [{"any": c, "lower": abs(c), "upper": -abs(c), "free": 0}[s] for c, s in zip(coeffs, signs)]
+        rows.append((draw(strat.sampled_from(kinds)), draw(row_entries), tuple(coeffs)))
+    if draw(strat.booleans()):
+        bias, coeffs = draw(row_entries), [draw(row_entries) for _ in range(m)]
+        rows += [(False, bias, tuple(coeffs)), (False, -bias, tuple(-c for c in coeffs))]
+    return draw(strat.permutations(rows)), m
+
+
+def solved(solve, rows, m):
+    try:
+        return solve(rows, m, 200)
+    except SizeCapError as exc:
+        return str(exc)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(back_substitution_systems())
+# x2 >= x1 and x2 > -x1 tie at x1 = 0, and only the second is strict
+@hypothesis.example(([(False, 0, (-1, 1)), (True, 0, (1, 1))], 2))
+# 2*x >= -1 and 2*x <= -1: lo == hi
+@hypothesis.example(([(False, 1, (2,)), (False, -1, (-2,))], 1))
+@hypothesis.example(([(True, BIG, (3, -BIG)), (False, -BIG, (BIG + 1, 1)), (True, 1, (-1, -BIG))], 2))
+def test_integer_back_substitution_matches_the_fraction_oracle(case):
+    # the same decision (or cap message) and the same point as
+    # back-substitution on Fractions, down to the denominator
+    rows, m = case
+    new, old = solved(_solve, rows, m), solved(randgen.fraction_solve, rows, m)
+    if isinstance(new, tuple) and isinstance(old, tuple):
+        assert [Fraction(c, new[0]) for c in new[1]] == [Fraction(c, old[0]) for c in old[1]]
+        assert all(_holds(row, *new) for row in rows)
+    assert new == old
