@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeCapError
 from .geometry import HalfSpace, InequalityKind, LinearForm, Point, Row, _complement, _holds, _scaled_row
@@ -67,7 +67,7 @@ class InequalitySystem:
         return True
 
 
-def _cell_rows(rows: Sequence[Row] | Mapping[int, Row], ones: int, zeros: int) -> list[Row]:
+def _cell_rows(rows: Sequence[Row], ones: int, zeros: int) -> list[Row]:
     """The rows of a cell: row i of each ones index i as it is, then the
     complement of row i of each zeros index i, each in ascending order."""
     return [rows[i - 1] for i in _members(ones)] + [_complement(rows[i - 1]) for i in _members(zeros)]
@@ -78,12 +78,9 @@ def _pair_rows(halfspaces: Sequence[HalfSpace], pair: IndexPair) -> tuple[list[R
     dimension; the empty pair's is the first half-space's."""
     if pair.ambient != len(halfspaces):
         raise PreconditionError(f"pair over {pair.ambient} half-spaces applied to {len(halfspaces)}")
-    named = pair.ones_mask | pair.zeros_mask
-    if named >> pair.ambient:
+    if (pair.ones_mask | pair.zeros_mask) >> pair.ambient:
         raise PreconditionError(f"pair names an index outside 1..{pair.ambient}")
-    # lower only the half-spaces the pair names
-    lowered = {i - 1: _scaled_row(halfspaces[i - 1].form, halfspaces[i - 1].kind)[0] for i in _members(named)}
-    rows = _cell_rows(lowered, pair.ones_mask, pair.zeros_mask)
+    rows = _cell_rows([_scaled_row(h.form, h.kind)[0] for h in halfspaces], pair.ones_mask, pair.zeros_mask)
     dims = {len(coeffs) for _, _, coeffs in rows} or {h.dimension for h in halfspaces[:1]}
     if len(dims) > 1:
         raise DimensionError("mixed constraint dimensions")

@@ -16,12 +16,10 @@ from polyperc import (
     SizeCapError,
     cell_contains,
     cell_witness,
-    cocell_contains,
     is_feasible,
     parse_halfspace,
     witness,
 )
-import polyperc.feasibility as feasibility
 from polyperc.feasibility import _cell_rows, _solve
 from polyperc.geometry import _holds, _scaled_row
 
@@ -165,31 +163,6 @@ def test_cell_witness_and_cell_contains_refuse_a_pair_of_two_dimensions():
     assert cell_witness(hs, IndexPair.of([], [2], 2)) is not None
     assert cell_contains(hs, IndexPair.of([], [2], 2), (Fraction(1), Fraction(-1))) == 1
     assert cell_contains(hs, IndexPair.of([2], [], 2), (Fraction(1), Fraction(-1))) == 0
-
-
-def test_a_partial_pair_lowers_only_the_halfspaces_it_names(monkeypatch):
-    # over 12 half-spaces, a pair naming 2, 7 and 11 lowers those three on
-    # each call and answers as the pair's Fraction system does
-    rng = random.Random(55)
-    hs = randgen.halfspaces(rng, 12, 3)
-    pair = IndexPair.of([2, 7], [11], 12)
-    cell = randgen.system_of_cell(hs, pair)
-    expected = witness(cell)
-    x = randgen.point(rng, 3)
-    lowered = []
-    real = feasibility._scaled_row
-    monkeypatch.setattr(feasibility, "_scaled_row", lambda form, kind: lowered.append(form) or real(form, kind))
-    calls = [
-        (cell_witness, (hs, pair), expected),
-        (cell_contains, (hs, pair, x), int(cell.satisfies(x))),
-        (cocell_contains, (hs, pair.swapped(), x), 1 - int(cell.satisfies(x))),
-    ]
-    for call, args, answer in calls:
-        lowered.clear()
-        assert call(*args) == answer
-        assert lowered == [hs[1].form, hs[6].form, hs[10].form]
-    with pytest.raises(PreconditionError, match="^pair names an index outside 1..12$"):
-        cell_witness(hs, IndexPair(1 << 12, 0, 12))
 
 
 def test_cell_is_empty_golden():
