@@ -7,7 +7,9 @@ may arrive unsorted or with duplicate pairs; :func:`normalize_scheme`
 produces the canonical sorted, duplicate-free version without changing
 what any polyhedron built from the scheme contains.  An index set is an
 int mask, bit i-1 standing for index i; its member tuple is derived
-from the mask on each read.
+from the mask on each read.  Scheme text exactly as :func:`format_scheme`
+writes it is read a chunk of pair lines at a time; other text is read
+line by line, to the same values, errors and line numbers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, and_, floordiv, lshift, lt, mod, mul, or_, rshift
 from typing import Callable, Iterable, Sequence
 
@@ -282,6 +284,46 @@ def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
 
 
 _PAIR_LINE = re.compile(r"^G([0-9]+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
+_PAIR_LINES = re.compile(_PAIR_LINE.pattern, re.M)
+_SELECTOR_LINE = re.compile(r"J=(?:[0-9,]+|-)")
+_CHUNK = 4096  # pair lines per findall, so that no match list grows with the block
+
+
+def _exact_members(text: str, ambient: int) -> tuple[int, ...] | None:
+    """The members of a list of ASCII digits and commas as :func:`_parse_members` reads
+    them; None for one it must read itself (an empty item, a leading zero, a refusal)."""
+    if text == "-":
+        return ()
+    try:
+        return None if text[0] == "0" or ",0" in text else _checked(map(int, text.split(",")), ambient)
+    except ValueError:
+        return None
+
+
+def _read_exact(lines: list[str], start: int, ambient: int, texts: list, members: dict) -> tuple[int, tuple | None]:
+    """Read the pair lines from ``lines[start]`` on, and the last ``J=`` line, into ``texts``
+    and ``members`` a chunk per ``findall``, while they are exactly as :func:`format_scheme`
+    writes them; return the first line left to read line by line, and the selector."""
+    end = len(lines) - 1
+    if ambient > MAX_AMBIENT or not _SELECTOR_LINE.fullmatch(lines[end]):
+        return start, None
+    while start < end:
+        chunk = lines[start : min(start + _CHUNK, end)]
+        block, q = "\n".join(chunk), len(texts)
+        found = _PAIR_LINES.findall(block)
+        if len(found) != len(chunk) or block.count("\n") != len(chunk) - 1:
+            return start, None
+        labels, ones, zeros = zip(*found)
+        if labels != tuple(map(str, range(q + 1, q + 1 + len(chunk)))) or (q + len(chunk)) * ambient > MAX_SCHEME_BITS:
+            return start, None
+        new = {text: _exact_members(text, ambient) for text in {*ones, *zeros}.difference(members)}
+        if None in new.values():
+            return start, None
+        members.update(new)
+        texts += zip(ones, zeros)
+        start += len(chunk)
+    selector = _exact_members(lines[end][2:], len(texts))
+    return start + (selector is not None), selector
 
 
 def format_scheme(scheme: Scheme) -> str:
@@ -329,9 +371,9 @@ def parse_scheme_lines(
     texts: list[tuple[str, str]] = []
     # each distinct index list is checked at its first line only
     members: dict[str, tuple[int, ...]] = {}
-    selector: tuple[int, ...] | None = None
+    start, selector = _read_exact(lines, lineno - first_lineno + 1, ambient, texts, members)
     past_bound: int | None = None
-    for lineno, line in rows:
+    for lineno, line in _rows(islice(lines, start, None), first_lineno + start):
         if selector is not None:
             raise ParseError("unexpected content after J= line", lineno)
         if line.startswith("J="):

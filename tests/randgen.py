@@ -13,7 +13,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from polyperc import (
     ConstantFormError,
@@ -37,8 +37,16 @@ from polyperc import (
 )
 from polyperc.feasibility import DEFAULT_CONSTRAINT_CAP, _eliminate
 from polyperc.forms import _unit_form
-from polyperc.geometry import _RATIONAL, MAX_DIGITS, _digit_count, _shown
-from polyperc.indexing import check_ground, lex_key
+from polyperc.geometry import _RATIONAL, MAX_DIGITS, _count, _digit_count, _rows, _shown, _shown_int
+from polyperc.indexing import (
+    MAX_AMBIENT,
+    MAX_SCHEME_BITS,
+    _PAIR_LINE,
+    _mask_of,
+    _parse_members,
+    check_ground,
+    lex_key,
+)
 
 
 def rational(rng: random.Random, span: int = 12, max_den: int = 6) -> Fraction:
@@ -265,6 +273,72 @@ def sorted_pairs(ambient: int, masks, selected) -> Scheme:
     pairs = [IndexPair(distinct[k // width], distinct[k % width], ambient) for k in keys]
     chosen = [j for j, key in enumerate(keys, 1) if key in picked]
     return Scheme(ambient, pairs, IndexSet(chosen, len(keys)))
+
+
+def line_by_line_scheme_lines(
+    lines: list[str],
+    first_lineno: int = 1,
+    check_ambient: Callable[[int], None] | None = None,
+) -> Scheme:
+    """The line-by-line scheme reader that ``indexing.parse_scheme_lines``
+    used before it read exact blocks a chunk at a time, kept verbatim as
+    the oracle of that reader: the same values, errors and line numbers.
+
+    Parse the scheme block format: ``N=``, then ``G<k>:`` lines, then ``J=``.
+
+    ``check_ambient`` sees N= after every line has parsed and before any
+    mask is built, so a caller can refuse an N= that does not match its
+    half-spaces before a huge index costs a huge mask; an N= past
+    :data:`MAX_AMBIENT` is refused right after that check, and then the
+    first pair line past :data:`MAX_SCHEME_BITS` pair bits.
+    """
+    rows = _rows(lines, first_lineno)
+    lineno, header = next(rows, (first_lineno, ""))
+    if not header:
+        raise ParseError("empty scheme block", lineno)
+    if not header.startswith("N="):
+        raise ParseError("scheme block must start with N=<n>", lineno)
+    ambient = _count(header[2:])
+    if ambient is None:
+        raise ParseError(f"bad ambient {_shown(header[2:])}", lineno)
+    if ambient < 1:
+        raise ParseError("scheme ambient must be positive", lineno)
+    head_lineno = lineno
+
+    texts: list[tuple[str, str]] = []
+    # each distinct index list is checked at its first line only
+    members: dict[str, tuple[int, ...]] = {}
+    selector: tuple[int, ...] | None = None
+    past_bound: int | None = None
+    for lineno, line in rows:
+        if selector is not None:
+            raise ParseError("unexpected content after J= line", lineno)
+        if line.startswith("J="):
+            selector = _parse_members(line[2:], len(texts), lineno)
+            continue
+        match = _PAIR_LINE.match(line)
+        if not match:
+            raise ParseError(f"bad scheme line {_shown(line)}", lineno)
+        if _count(match.group(1)) != len(texts) + 1:
+            raise ParseError(f"pair lines must be numbered consecutively, got G{_shown_int(match.group(1))}", lineno)
+        texts.append(match.group(2, 3))
+        if past_bound is None and len(texts) * ambient > MAX_SCHEME_BITS:
+            past_bound = lineno
+        for text in texts[-1]:
+            if text not in members:
+                members[text] = _parse_members(text, ambient, lineno)
+    if selector is None:
+        raise ParseError("scheme block has no J= line", lineno)
+    if check_ambient is not None:
+        check_ambient(ambient)
+    if ambient > MAX_AMBIENT:
+        raise ParseError(f"scheme ambient must be at most {MAX_AMBIENT}", head_lineno)
+    if past_bound is not None:
+        raise ParseError(f"pair lines times N= must be at most {MAX_SCHEME_BITS}", past_bound)
+    mask = {text: _mask_of(indices) for text, indices in members.items()}
+    ones = tuple([mask[text] for text, _ in texts])
+    zeros = tuple([mask[text] for _, text in texts])
+    return Scheme._of_columns(ambient, ones, zeros, IndexSet.from_mask(_mask_of(selector), len(texts)))
 
 
 def system_of_cell(halfspaces, pair: IndexPair) -> InequalitySystem:

@@ -10,12 +10,15 @@ import polyperc
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def readme_public_section():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("### Public names\n", 1)[1].split("\n#", 1)[0]
+
+
 def readme_public_names():
     """{module: [names]} from the README's "Public names" section."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("### Public names\n", 1)[1].split("\n#", 1)[0]
     listed = {}
-    for line in section.splitlines():
+    for line in readme_public_section().splitlines():
         match = re.match(r"- `(\w+)`: (.*)", line)
         if match:
             listed[match.group(1)] = re.findall(r"`(\w+)`", match.group(2))
@@ -26,6 +29,8 @@ def test_all_matches_readme_list():
     listed = readme_public_names()
     names = [name for group in listed.values() for name in group]
     assert sorted(polyperc.__all__) == sorted(names)
+    stated = re.search(r"exports exactly these (\d+) names", readme_public_section())
+    assert stated and int(stated.group(1)) == len(polyperc.__all__)
     assert len(set(polyperc.__all__)) == len(polyperc.__all__)
     for module, group in listed.items():
         source = importlib.import_module(f"polyperc.{module}")

@@ -9,7 +9,9 @@ its fault, so the line it names counts blank lines too.
 
 import contextlib
 import io
+import itertools
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,11 +22,14 @@ import hypothesis.strategies as strat
 import pytest
 
 from polyperc import (
+    IndexPair,
+    IndexSet,
     Mode,
     ParseError,
     PerceptronLayer,
     PolypercError,
     PresentedPolyhedron,
+    Scheme,
     format_bundle,
     format_halfspace,
     format_network,
@@ -35,8 +40,9 @@ from polyperc import (
     parse_network,
     parse_scheme,
 )
-from polyperc import cli
+from polyperc import cli, indexing, polyhedra
 from polyperc.cli import console_main
+from polyperc.indexing import MAX_AMBIENT, MAX_SCHEME_BITS
 
 import randgen
 from test_indexing import schemes
@@ -363,3 +369,127 @@ def test_edited_text_gives_a_value_or_a_polyperc_error(kind, rng, data):
     except PolypercError:
         return
     assert read(write(value)) == value
+
+
+def outcome(read, *args):
+    """A reader's value, or its error's class, message and line."""
+    try:
+        return read(*args)
+    except PolypercError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@strat.composite
+def block_schemes(draw):
+    """Schemes over 1 to 80 indices, so masks pass 8 bytes, of 0 to 20
+    pairs: empty, full and random masks, now and then an inconsistent
+    pair, and an empty, full or random selector."""
+    n, q = draw(strat.integers(1, 80)), draw(strat.integers(0, 20))
+    masks = strat.sampled_from([0, (1 << n) - 1]) | strat.integers(0, (1 << n) - 1)
+    pairs = []
+    for _ in range(q):
+        ones, zeros = draw(masks), draw(masks)
+        pairs.append(IndexPair(ones, zeros if draw(strat.integers(0, 9)) == 0 else zeros & ~ones, n))
+    every = (1 << q) - 1
+    return Scheme(n, pairs, IndexSet.from_mask(draw(strat.sampled_from([0, every]) | strat.integers(0, every)), q))
+
+
+# index lists that format_scheme never writes; ``bound`` is N= for a pair
+# list and the pair count for J=
+LIST_EDITS = {
+    "double comma": lambda text, bound: text.replace(",", ",,", 1) if "," in text else text + ",,1",
+    "trailing comma": lambda text, bound: text + ",",
+    "index 0": lambda text, bound: "0" if text == "-" else "0," + text,
+    "past the bound": lambda text, bound: str(bound + 1) if text == "-" else f"{text},{bound + 1}",
+    "decreasing": lambda text, bound: "2,1" if text in ("-", "1") else text + ",1",
+    "zero-padded": lambda text, bound: "1".zfill(20) if text == "-" else re.sub(r"^[0-9]+", lambda m: m[0].zfill(20), text),
+}
+LINE_EDITS = ["G01", "swapped labels", "blank line", "trailing space", "CRLF", "N past MAX_AMBIENT", "N at MAX_AMBIENT", "q*N past MAX_SCHEME_BITS"]
+EDITS = [*LIST_EDITS, *LINE_EDITS]
+
+
+def aimed_edit(text, kind, at, spot, k):
+    """A formatted scheme after one edit that leaves it, or part of it, to
+    the line-by-line reader: a label, blank line, padding or line end the
+    writer does not write, an index list it does not write, or an N= at or
+    past a bound.  ``at`` picks a pair line or the J= line, ``spot`` a list
+    on it, and ``k`` the labels that swap or the first pair line past
+    ``MAX_SCHEME_BITS``, each modulo the choices there are."""
+    lines = text.splitlines()
+    q, end = len(lines) - 2, "\n"
+    at = 1 + at % (q + 1)
+    if kind in LIST_EDITS:
+        spots = list(re.finditer("(?<==)[0-9,-]+", lines[at]))
+        found = spots[spot % len(spots)]
+        bound = q if at == q + 1 else int(lines[0][2:])
+        lines[at] = lines[at][: found.start()] + LIST_EDITS[kind](found[0], bound) + lines[at][found.end() :]
+    elif kind == "G01" and q:
+        lines[min(at, q)] = lines[min(at, q)].replace("G", "G0", 1)
+    elif kind == "swapped labels" and q > 1:
+        k = 1 + k % (q - 1)
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif kind == "blank line":
+        lines.insert(at, "")
+    elif kind == "trailing space":
+        lines[at] += " "
+    elif kind == "CRLF":
+        end = "\r\n"
+    elif kind.startswith("N "):
+        lines[0] = f"N={MAX_AMBIENT + (kind == 'N past MAX_AMBIENT')}"
+    elif kind.startswith("q*N"):
+        # at least 17 pair lines, so that N= stays at most MAX_AMBIENT
+        lines[-1:-1] = [f"G{j}: ONES=- ZEROS=-" for j in range(q + 1, 18)]
+        lines[0] = f"N={MAX_SCHEME_BITS // (17 + k % (max(q, 17) - 16)) + 1}"
+    return end.join(lines) + end
+
+
+def assert_read_as_the_oracle_reads(text, rows, mode, chunk):
+    """``parse_scheme``, and ``parse_bundle`` of the scheme after ``rows``
+    half-space lines, give what the line-by-line reader kept in
+    ``tests/randgen.py`` gives, reading ``chunk`` pair lines per block:
+    the same value, or the same error class, message and line."""
+    bundle = "".join(f"{k} 1 >=\n" for k in range(rows)) + f"MODE={mode}\n" + text
+    want = outcome(randgen.line_by_line_scheme_lines, text.splitlines())
+    with mock.patch.object(polyhedra, "parse_scheme_lines", randgen.line_by_line_scheme_lines):
+        want_bundle = outcome(parse_bundle, bundle)
+    with mock.patch.object(indexing, "_CHUNK", chunk):
+        assert outcome(parse_scheme, text) == want
+        assert outcome(parse_bundle, bundle) == want_bundle
+    return want
+
+
+@hypothesis.given(block_schemes(), strat.data())
+def test_scheme_block_reader_matches_the_line_by_line_oracle(s, data):
+    """Written texts, edited ones and ones with an aimed edit read as the
+    line-by-line reader reads them, alone and in a bundle whose half-space
+    count may differ from N=, at 1 to 3 pair lines per block or the
+    reader's own number."""
+    text = format_scheme(s)
+    how = data.draw(strat.sampled_from(["as written", "edited", "aimed"]))
+    if how == "edited":
+        text = data.draw(edited(text))
+    elif how == "aimed":
+        choices = strat.integers(0, 20)
+        text = aimed_edit(text, data.draw(strat.sampled_from(EDITS)), data.draw(choices), data.draw(choices), data.draw(choices))
+    rows = s.ambient + data.draw(strat.sampled_from([0, 0, 0, -1, 1]))
+    mode = data.draw(strat.sampled_from(["DNF", "CNF"]))
+    want = assert_read_as_the_oracle_reads(text, rows, mode, data.draw(strat.sampled_from([1, 2, 3, indexing._CHUNK])))
+    if how == "as written":
+        assert want == s
+
+
+@pytest.mark.parametrize("kind", EDITS)
+def test_each_aimed_edit_reads_as_the_line_by_line_oracle_reads_it(kind):
+    # three pairs over five indices, with empty and shared lists
+    text = "N=5\nG1: ONES=1,3 ZEROS=-\nG2: ONES=- ZEROS=2,4,5\nG3: ONES=1,3 ZEROS=2\nJ=1,3\n"
+    for at, spot, k, chunk in itertools.product(range(4), range(2), range(2), (1, 2, indexing._CHUNK)):
+        assert_read_as_the_oracle_reads(aimed_edit(text, kind, at, spot, k), 5, "DNF", chunk)
+
+
+def test_a_line_holding_a_line_break_is_read_as_the_oracle_reads_it():
+    # the block joins its lines with "\n", so a line that holds one must
+    # not pass for two pair lines
+    lines = ["N=2", "G1: ONES=1 ZEROS=-\nG2: ONES=2 ZEROS=-", "G2: ONES=x ZEROS=-", "J=1"]
+    want = outcome(randgen.line_by_line_scheme_lines, lines)
+    assert want[0] is ParseError
+    assert outcome(indexing.parse_scheme_lines, lines) == want
