@@ -7,9 +7,11 @@ may arrive unsorted or with duplicate pairs; :func:`normalize_scheme`
 produces the canonical sorted, duplicate-free version without changing
 what any polyhedron built from the scheme contains.  An index set is an
 int mask, bit i-1 standing for index i; its member tuple is derived
-from the mask on each read.  Scheme text exactly as :func:`format_scheme`
-writes it is read a chunk of pair lines at a time; other text is read
-line by line, to the same values, errors and line numbers.
+from the mask on each read, and :func:`lex_key` is the one order of
+masks that every sorted scheme follows.  A scheme block exactly as
+:func:`format_scheme` writes it is read a chunk of pair lines at a time;
+any other block is read line by line from its first pair line, to the
+same values, errors and line numbers.  One reader reads every index list.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import add, and_, floordiv, lshift, lt, mod, mul, or_, rshift
 from typing import Callable, Iterable, Sequence
 
@@ -273,7 +275,16 @@ def _format_members(mask: int) -> str:
     return ",".join(parts) or "-"
 
 
-def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
+def _parse_members(text: str, ambient: int, lineno: int | None) -> tuple[int, ...]:
+    """The members of an index list, ``-`` for none.  A plain list (ASCII digits and
+    commas, no leading zero) is read by ``int`` first; any other list, or one that
+    fails there, is read item by item through ``_count``, which words every refusal.
+    With no leading zero, an item longer than ``_count`` reads is past any ambient."""
+    if text.isascii() and not text.encode().translate(None, b"0123456789,") and text[:1] != "0" and ",0" not in text:
+        try:
+            return _checked(map(int, text.split(",")), ambient)
+        except ValueError:  # an empty item, more digits than ``int`` reads, or a refusal
+            pass
     members = () if text == "-" else tuple(map(_count, text.split(",")))
     if None in members:
         raise ParseError(f"bad index list {_shown(text)}", lineno)
@@ -285,45 +296,33 @@ def _parse_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
 
 _PAIR_LINE = re.compile(r"^G([0-9]+): ONES=([0-9,]+|-) ZEROS=([0-9,]+|-)$")
 _PAIR_LINES = re.compile(_PAIR_LINE.pattern, re.M)
-_SELECTOR_LINE = re.compile(r"J=(?:[0-9,]+|-)")
 _CHUNK = 4096  # pair lines per findall, so that no match list grows with the block
 
 
-def _exact_members(text: str, ambient: int) -> tuple[int, ...] | None:
-    """The members of a list of ASCII digits and commas as :func:`_parse_members` reads
-    them; None for one it must read itself (an empty item, a leading zero, a refusal)."""
-    if text == "-":
-        return ()
-    try:
-        return None if text[0] == "0" or ",0" in text else _checked(map(int, text.split(",")), ambient)
-    except ValueError:
-        return None
-
-
-def _read_exact(lines: list[str], start: int, ambient: int, texts: list, members: dict) -> tuple[int, tuple | None]:
-    """Read the pair lines from ``lines[start]`` on, and the last ``J=`` line, into ``texts``
-    and ``members`` a chunk per ``findall``, while they are exactly as :func:`format_scheme`
-    writes them; return the first line left to read line by line, and the selector."""
+def _read_exact(lines: list[str], start: int, ambient: int) -> tuple[list, dict, tuple] | None:
+    """The pair lists, the members of each distinct one and the selector of the block
+    from ``lines[start]`` on, its pair lines read a chunk per ``findall``, when it is
+    exactly as :func:`format_scheme` writes it; None for any other block."""
     end = len(lines) - 1
-    if ambient > MAX_AMBIENT or not _SELECTOR_LINE.fullmatch(lines[end]):
-        return start, None
-    while start < end:
-        chunk = lines[start : min(start + _CHUNK, end)]
-        block, q = "\n".join(chunk), len(texts)
-        found = _PAIR_LINES.findall(block)
-        if len(found) != len(chunk) or block.count("\n") != len(chunk) - 1:
-            return start, None
-        labels, ones, zeros = zip(*found)
-        if labels != tuple(map(str, range(q + 1, q + 1 + len(chunk)))) or (q + len(chunk)) * ambient > MAX_SCHEME_BITS:
-            return start, None
-        new = {text: _exact_members(text, ambient) for text in {*ones, *zeros}.difference(members)}
-        if None in new.values():
-            return start, None
-        members.update(new)
-        texts += zip(ones, zeros)
-        start += len(chunk)
-    selector = _exact_members(lines[end][2:], len(texts))
-    return start + (selector is not None), selector
+    if ambient > MAX_AMBIENT or not lines[end].startswith("J="):
+        return None
+    texts: list[tuple[str, str]] = []
+    members: dict[str, tuple[int, ...]] = {}
+    try:
+        for at in range(start, end, _CHUNK):
+            chunk = lines[at : min(at + _CHUNK, end)]
+            block, q = "\n".join(chunk), len(texts)
+            found = _PAIR_LINES.findall(block)
+            if len(found) != len(chunk) or block.count("\n") != len(chunk) - 1:
+                return None
+            labels, ones, zeros = zip(*found)
+            if labels != tuple(map(str, range(q + 1, q + 1 + len(chunk)))) or (q + len(chunk)) * ambient > MAX_SCHEME_BITS:
+                return None
+            members.update({text: _parse_members(text, ambient, None) for text in {*ones, *zeros}.difference(members)})
+            texts += zip(ones, zeros)
+        return texts, members, _parse_members(lines[end][2:], len(texts), None)
+    except ParseError:
+        return None
 
 
 def format_scheme(scheme: Scheme) -> str:
@@ -368,12 +367,11 @@ def parse_scheme_lines(
         raise ParseError("scheme ambient must be positive", lineno)
     head_lineno = lineno
 
-    texts: list[tuple[str, str]] = []
-    # each distinct index list is checked at its first line only
-    members: dict[str, tuple[int, ...]] = {}
-    start, selector = _read_exact(lines, lineno - first_lineno + 1, ambient, texts, members)
+    # each distinct index list is checked at its first line only; a block
+    # _read_exact does not read is read here line by line, from its first pair line
+    texts, members, selector = _read_exact(lines, lineno - first_lineno + 1, ambient) or ([], {}, None)
     past_bound: int | None = None
-    for lineno, line in _rows(islice(lines, start, None), first_lineno + start):
+    for lineno, line in rows if selector is None else ():
         if selector is not None:
             raise ParseError("unexpected content after J= line", lineno)
         if line.startswith("J="):

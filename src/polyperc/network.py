@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import lshift, neg, or_
@@ -57,10 +57,16 @@ def bits_of_index(g: int, n_bits: int) -> BitVector:
     return tuple((g >> i) & 1 for i in range(n_bits))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PerceptronLayer:
     """Threshold units sharing an input dimension: unit u is the row
-    ``lowered[u]`` over the scale ``scales[u]``, and equality and hashing
-    read both.  ``units`` views them as half-spaces."""
+    ``lowered[u]`` over the scale ``scales[u]``.  A frozen dataclass, it compares
+    and hashes on these two fields alone; ``units`` views them as half-spaces."""
+
+    lowered: tuple[Row, ...]
+    scales: tuple[int, ...]
+    input_dim: int = field(compare=False)
+    output_dim: int = field(compare=False)
 
     def __init__(self, units: Iterable[HalfSpace]):
         units = tuple(units)
@@ -77,22 +83,9 @@ class PerceptronLayer:
         layer.__dict__.update(lowered=rows, scales=scales, input_dim=dim, output_dim=len(rows))
         return layer
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a layer")
-
     @cached_property
     def units(self) -> tuple[HalfSpace, ...]:
         return tuple(map(_unit, self.lowered, self.scales))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PerceptronLayer):
-            return NotImplemented
-        return self.lowered == other.lowered and self.scales == other.scales
-
-    def __hash__(self) -> int:
-        return hash((self.lowered, self.scales))
 
     def __repr__(self) -> str:
         return f"PerceptronLayer(units={self.units!r})"

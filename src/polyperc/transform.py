@@ -5,7 +5,8 @@ Synthesis turns a scheme into a 3-layer network: the given half-spaces,
 one AND unit per pair, one OR unit over the selector (or the OR/AND
 dual for the intersection flavor).  Extraction walks every bit vector
 the first layer can emit through the remaining layers and collects the
-accepted ones as full index pairs.  Composing the two normalizes any
+accepted ones as full index pairs, sorted by ``indexing.lex_key`` as
+every scheme the package sorts is.  Composing the two normalizes any
 single-output network to depth 3 without touching its first layer.
 """
 
@@ -14,14 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemeError, SizeCapError
 from .feasibility import DEFAULT_CONSTRAINT_CAP, _cell_rows, _point, _realizable
 from .forms import _unit_row
 from .geometry import HalfSpace, Point, Row, _scaled_row, _shown_int
-from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground
+from .indexing import IndexPair, IndexSet, Scheme, _mask_of, check_ground, lex_key
 from .network import BitVector, PerceptronLayer, PerceptronNetwork, bits_of_index, tail_accepted_set
 
 __all__ = [
@@ -129,16 +129,6 @@ def _accepted_indices(network: PerceptronNetwork, cap: int) -> list[int]:
     return tail_accepted_set(network.layers[1:], n1)
 
 
-def _lex_order(n: int) -> list[int]:
-    """Every mask below ``1 << n`` in ``lex_key`` order: over indices k..n,
-    the empty set, then k joined to each set over k+1..n, then the
-    nonempty sets over k+1..n."""
-    order = [0]
-    for i in reversed(range(n)):
-        order = [0, *[1 << i | mask for mask in order], *order[1:]]
-    return order
-
-
 def extract_scheme(
     network: PerceptronNetwork, prune: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> ExtractionReport:
@@ -152,12 +142,8 @@ def extract_scheme(
     _require_single_output(network)
     n1 = network.layers[0].output_dim
     accepted = _accepted_indices(network, cap)
-    flags = bytearray(1 << n1)
-    for g in accepted:
-        flags[g] = 1
     # a full pair's zeros are the complement of its ones, so the ones alone order it
-    order = _lex_order(n1)
-    ones = tuple(compress(order, map(flags.__getitem__, order)))
+    ones = tuple(sorted(accepted, key=lex_key))
     full = (1 << n1) - 1
     zeros = tuple([full ^ g for g in ones])
     scheme = Scheme._of_columns(n1, ones, zeros, IndexSet.from_mask((1 << len(ones)) - 1, len(ones)))

@@ -12,6 +12,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -42,8 +43,8 @@ from polyperc.indexing import (
     MAX_AMBIENT,
     MAX_SCHEME_BITS,
     _PAIR_LINE,
+    _checked,
     _mask_of,
-    _parse_members,
     check_ground,
     lex_key,
 )
@@ -275,14 +276,48 @@ def sorted_pairs(ambient: int, masks, selected) -> Scheme:
     return Scheme(ambient, pairs, IndexSet(chosen, len(keys)))
 
 
+def lex_order(n: int) -> list[int]:
+    """Every mask below ``1 << n`` in ``lex_key`` order: over indices k..n,
+    the empty set, then k joined to each set over k+1..n, then the
+    nonempty sets over k+1..n."""
+    order = [0]
+    for i in reversed(range(n)):
+        order = [0, *[1 << i | mask for mask in order], *order[1:]]
+    return order
+
+
+def lex_ordered(accepted, n1: int) -> tuple[int, ...]:
+    """Oracle for extraction's pair order, the table it replaced: the
+    accepted masks below ``1 << n1``, kept from :func:`lex_order` through
+    a bytearray of flags."""
+    flags = bytearray(1 << n1)
+    for g in accepted:
+        flags[g] = 1
+    order = lex_order(n1)
+    return tuple(compress(order, map(flags.__getitem__, order)))
+
+
+def count_members(text: str, ambient: int, lineno: int) -> tuple[int, ...]:
+    """Oracle for ``indexing._parse_members``, the reader it replaced: every
+    item of an index list through ``_count``, with no ``int`` route."""
+    members = () if text == "-" else tuple(map(_count, text.split(",")))
+    if None in members:
+        raise ParseError(f"bad index list {_shown(text)}", lineno)
+    try:
+        return _checked(members, ambient)
+    except ValueError as exc:
+        raise ParseError(f"bad index list {_shown(text)}: {exc}", lineno) from exc
+
+
 def line_by_line_scheme_lines(
     lines: list[str],
     first_lineno: int = 1,
     check_ambient: Callable[[int], None] | None = None,
 ) -> Scheme:
     """The line-by-line scheme reader that ``indexing.parse_scheme_lines``
-    used before it read exact blocks a chunk at a time, kept verbatim as
-    the oracle of that reader: the same values, errors and line numbers.
+    used before it read exact blocks a chunk at a time, kept verbatim but
+    for its index lists, read by :func:`count_members`, as the oracle of
+    that reader: the same values, errors and line numbers.
 
     Parse the scheme block format: ``N=``, then ``G<k>:`` lines, then ``J=``.
 
@@ -314,7 +349,7 @@ def line_by_line_scheme_lines(
         if selector is not None:
             raise ParseError("unexpected content after J= line", lineno)
         if line.startswith("J="):
-            selector = _parse_members(line[2:], len(texts), lineno)
+            selector = count_members(line[2:], len(texts), lineno)
             continue
         match = _PAIR_LINE.match(line)
         if not match:
@@ -326,7 +361,7 @@ def line_by_line_scheme_lines(
             past_bound = lineno
         for text in texts[-1]:
             if text not in members:
-                members[text] = _parse_members(text, ambient, lineno)
+                members[text] = count_members(text, ambient, lineno)
     if selector is None:
         raise ParseError("scheme block has no J= line", lineno)
     if check_ambient is not None:

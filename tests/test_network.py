@@ -44,6 +44,13 @@ def test_layer_construction(two_unit_layer):
         two_unit_layer.units = ()
 
 
+def test_layer_fields_cannot_be_deleted(two_unit_layer):
+    for name in ("lowered", "scales", "input_dim", "output_dim"):
+        with pytest.raises(AttributeError):
+            delattr(two_unit_layer, name)
+    assert hash(two_unit_layer) == hash(PerceptronLayer(two_unit_layer.units))
+
+
 def test_layer_rejects_empty():
     with pytest.raises(PreconditionError, match="^empty layer$"):
         PerceptronLayer([])

@@ -1,5 +1,7 @@
-"""The package's public names: the README's list, and what the benchmark uses."""
+"""The package's public names: the README's list, the README's references
+into the package, and what the benchmark uses."""
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -71,3 +73,22 @@ def test_benchmark_uses_only_exported_names():
             f"polyperc.{module}" if module else "polyperc"
         )
         assert hasattr(source, name), f"pipebench imports {name} from {source.__name__}"
+
+
+def test_readme_references_resolve():
+    """Each backticked ``module.name`` naming a package module is an
+    attribute of that module, and each ``Class.attr`` naming a public
+    class is a class attribute or a dataclass field of it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    kinds = set()
+    for owner, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text):
+        if is_submodule(owner):
+            source, kind = importlib.import_module(f"polyperc.{owner}"), "module"
+        elif owner in polyperc.__all__ and isinstance(getattr(polyperc, owner), type):
+            source, kind = getattr(polyperc, owner), "class"
+        else:
+            continue
+        fields = {f.name for f in dataclasses.fields(source)} if dataclasses.is_dataclass(source) else set()
+        assert hasattr(source, name) or name in fields, f"README names {owner}.{name}"
+        kinds.add(kind)
+    assert kinds == {"module", "class"}

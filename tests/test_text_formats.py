@@ -142,6 +142,8 @@ COUNT_FIELDS = {
     "N=": ("scheme", "\n\nN={}\nG1: ONES=1 ZEROS=-\nJ=1\n", "bad ambient {number!r}"),
     "G<k>": ("scheme", "N=1\n\nG{}: ONES=1 ZEROS=-\nJ=1\n", "bad scheme line {line!r}"),
     "J=": ("scheme", "N=1\nG1: ONES=1 ZEROS=-\n\nJ={}\n", "bad index list {number!r}"),
+    # no blank line, so that the block is read whole first
+    "J=-unpadded": ("scheme", "N=1\nG1: ONES=1 ZEROS=-\nJ={}\n", "bad index list {number!r}"),
 }
 
 
@@ -403,6 +405,10 @@ LIST_EDITS = {
     "past the bound": lambda text, bound: str(bound + 1) if text == "-" else f"{text},{bound + 1}",
     "decreasing": lambda text, bound: "2,1" if text in ("-", "1") else text + ",1",
     "zero-padded": lambda text, bound: "1".zfill(20) if text == "-" else re.sub(r"^[0-9]+", lambda m: m[0].zfill(20), text),
+    # spellings int() reads and the grammar refuses
+    "sign": lambda text, bound: "+1" if text == "-" else "+" + text,
+    "underscore": lambda text, bound: text.replace(",", "_", 1) if "," in text else "1_0",
+    "inner space": lambda text, bound: text.replace(",", ", ", 1) if "," in text else "1, 2",
 }
 LINE_EDITS = ["G01", "swapped labels", "blank line", "trailing space", "CRLF", "N past MAX_AMBIENT", "N at MAX_AMBIENT", "q*N past MAX_SCHEME_BITS"]
 EDITS = [*LIST_EDITS, *LINE_EDITS]

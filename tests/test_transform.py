@@ -10,8 +10,10 @@ import pytest
 from polyperc import (
     ConstantNetwork,
     DimensionError,
+    HalfSpace,
     IndexPair,
     IndexSet,
+    LinearForm,
     Mode,
     PerceptronLayer,
     PerceptronNetwork,
@@ -273,6 +275,26 @@ def test_extract_enumeration_cap(ground):
     net = build_dnf_network(ground, and_scheme())
     with pytest.raises(SizeCapError):
         extract_scheme(net, cap=1)
+
+
+# how many of the 2^n1 bit vectors a tail accepts
+SHARES = {"none": lambda v: 0, "one": lambda v: 1, "20%": lambda v: v // 5, "80%": lambda v: 4 * v // 5, "every": lambda v: v}
+
+
+@hypothesis.given(strat.integers(1, 12), strat.sampled_from(sorted(SHARES)), strat.integers(0, 2**32).map(random.Random))
+def test_extraction_order_matches_the_lex_order_oracle(n1, share, rng):
+    """The tail is one unit whose weights are +-2^k over shuffled k, so
+    each bit vector has its own weight sum and a bias accepts exactly
+    the vectors of the largest sums, as many as ``share`` asks."""
+    weights = [rng.choice((-1, 1)) << k for k in rng.sample(range(n1), n1)]
+    sums = sorted(((sum(w for j, w in enumerate(weights) if g >> j & 1), g) for g in range(1 << n1)), reverse=True)
+    count = SHARES[share](1 << n1)
+    bias = -sums[count - 1][0] if count else -sums[0][0] - 1
+    tail = HalfSpace(LinearForm(Fraction(bias), tuple(map(Fraction, weights))), InequalityKind.LAX)
+    net = PerceptronNetwork((PerceptronLayer(randgen.halfspaces(rng, n1, 2)), PerceptronLayer([tail])))
+    report = extract_scheme(net)
+    assert report.accepted_count == count
+    assert report.scheme.ones_masks == randgen.lex_ordered([g for _, g in sums[:count]], n1)
 
 
 def test_normalize_golden(ground):
